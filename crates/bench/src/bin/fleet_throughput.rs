@@ -4,35 +4,33 @@
 //!
 //! Usage: `fleet_throughput [--sessions N] [--workers N] [--nodes N]
 //! [--seed N] [--down NODE ...] [--trace PATH] [--chaos [PLAN]]
-//! [--hostile [PLAN]] [--vault-crash] [--chaos-seed N] [--tenants N]
-//! [--deny DOMAIN ...] [--unattested NODE ...] [--topology] [--handoff]
-//! [--regions N] [--drain] [--json-out [PATH]]`
+//! [--chaos-seed N] [--tenants N] [--deny DOMAIN ...] [--unattested NODE
+//! ...] [--topology] [--regions N] [--json-out [PATH]]`
 //!
 //! The simulated aggregate is bit-identical for any `--workers` value;
 //! only the wall-clock fields change. Run with `--workers 1` and
 //! `--workers 8` and diff the `simulated` blobs to check.
+//!
+//! Every run goes through the one fleet executor: each session attempt
+//! is residue-scanned and vault-audited, so the `chaos`, `vault` and
+//! `guard` summary lines are measured even with no faults injected.
 //!
 //! `--trace PATH` writes a Chrome trace_event JSON of the whole run
 //! (one track per device session) — open it at `chrome://tracing` or
 //! <https://ui.perfetto.dev>. Tracing never changes the simulated
 //! aggregate.
 //!
-//! `--chaos [PLAN]` runs the fleet under a canned `tinman-chaos` fault
+//! `--chaos PLAN` runs the fleet under a canned `tinman-chaos` fault
 //! plan (`crash-primary`, `recovery`, `partition`, `wire-noise`,
-//! `vault-crash`) with circuit-breaker placement and checkpoint/replay
-//! recovery; with no PLAN it starts from the empty plan (chaos
-//! machinery on, no injected faults). `--vault-crash` appends the
-//! canned vault crash/replica-lag events — WAL crashes mid-commit, torn
-//! tails, compaction crashes, lagging replicas — to whatever plan is
-//! active. `--chaos-seed N` reseeds the plan's fault dice; two runs
-//! with the same seeds emit byte-identical simulated aggregates.
-//!
-//! `--hostile [PLAN]` appends hostile-guest events (default: the canned
-//! `hostile-guest` plan — every session runs a budget-exhausting guest)
-//! to whatever plan is active: sessions run under the per-session
-//! guard, runaway guests are killed with their node heaps scrubbed, and
-//! overloaded placements are shed. The summary grows a `guard` line
-//! with kills, sheds, and the exhaustion breakdown.
+//! `vault-crash`, `hostile-guest`, `tenant-rotation`, `handoff`,
+//! `nat-traversal`, `region-failover`, `rolling-upgrade`, `drain`), or
+//! several joined with `+` (e.g. `--chaos crash-primary+vault-crash`):
+//! their events concatenate and the first plan sets the seed, deadline
+//! and breaker policy. With no PLAN (or no `--chaos`) the plan is empty.
+//! `--chaos-seed N` reseeds the plan's fault dice; two runs with the same
+//! seeds emit byte-identical simulated aggregates. `hostile-guest` runs
+//! every session under the per-session guard, and the `guard` line
+//! reports kills, sheds, and the exhaustion breakdown.
 //!
 //! `--tenants N` round-robins sessions over N tenants: vault audits run
 //! sealed under per-tenant key hierarchies (ciphertext at rest, zero
@@ -40,29 +38,24 @@
 //! gate, and the per-tenant declassification policy (`--deny DOMAIN`
 //! adds a denied domain; `--unattested NODE` marks a node as failing
 //! attestation) is enforced fail-closed. The summary grows a `tenant`
-//! line and the simulated aggregate stays byte-identical across
-//! `--workers` values.
+//! line.
 //!
 //! `--topology` runs every session's world as a routed internet —
 //! subnets, routers, a NAT gateway in front of the phone, a DNS
-//! resolver — so the `RouterCrash`/`NatTableFlush`/`DnsOutage`/
-//! `HandoffStorm` chaos families (e.g. `--chaos nat-traversal`) have
-//! teeth. `--handoff` additionally schedules a standing Wi-Fi ↔ 3G
-//! handoff storm in every session (the first switch lands mid-offload).
-//! Both add a `net` summary line with the availability columns
-//! (handoffs, NAT rewrites/rebinds, DNS faults, route drops); the
-//! simulated aggregate stays byte-identical across `--workers` values.
+//! resolver — so the `RouterCrash`/`NatTableFlush`/`DnsOutage` chaos
+//! families (e.g. `--chaos nat-traversal`) have teeth, and a `handoff`
+//! storm rebinds the NAT. It adds a `net` summary line with the
+//! availability columns (handoffs, NAT rewrites/rebinds, DNS faults,
+//! route drops).
 //!
 //! `--regions N` partitions the pool into N trusted-node regions behind
 //! the deterministic placement front: sessions home to a region by
 //! placement key, membership chaos families (`--chaos region-failover`,
-//! `--chaos rolling-upgrade`) drain and kill whole regions, and
-//! in-flight sessions live-migrate to a peer region or fail closed as
-//! `no_region`. `--drain` puts node 0 into a standing drain so every
-//! run exercises the checkpoint/migrate/scrub path. Both add a `region`
-//! summary line (migrations, evacuations, region failovers, migration
-//! residue, no-region kills); the simulated aggregate stays
-//! byte-identical across `--workers` values.
+//! `--chaos rolling-upgrade`, `--chaos drain`) drain and kill nodes or
+//! whole regions, and in-flight sessions live-migrate to a peer or fail
+//! closed as `no_region`. A `region` summary line (migrations,
+//! evacuations, region failovers, migration residue, no-region kills)
+//! appears whenever `--regions` is above 1 or a session migrated.
 //!
 //! `--json-out [PATH]` additionally writes a schema'd benchmark record
 //! (throughput, latency percentiles, bytes synced, tenancy counters) to
@@ -70,7 +63,7 @@
 
 use tinman_bench::{banner, emit_json};
 use tinman_chaos::ChaosPlan;
-use tinman_fleet::{run_fleet_chaos, run_fleet_obs, FleetConfig, FleetObs};
+use tinman_fleet::{run_fleet_chaos, FleetConfig, FleetObs};
 use tinman_obs::{chrome_trace_json, TraceHandle};
 
 struct Args {
@@ -80,17 +73,13 @@ struct Args {
     seed: Option<u64>,
     down: Vec<usize>,
     trace: Option<String>,
-    chaos: Option<String>,
-    hostile: Option<String>,
-    vault_crash: bool,
+    chaos: String,
     chaos_seed: Option<u64>,
     tenants: usize,
     deny: Vec<String>,
     unattested: Vec<usize>,
     topology: bool,
-    handoff: bool,
     regions: u32,
-    drain: bool,
     json_out: Option<String>,
 }
 
@@ -109,17 +98,13 @@ fn parse_args() -> Args {
         seed: None,
         down: Vec::new(),
         trace: None,
-        chaos: None,
-        hostile: None,
-        vault_crash: false,
+        chaos: String::new(),
         chaos_seed: None,
         tenants: 0,
         deny: Vec::new(),
         unattested: Vec::new(),
         topology: false,
-        handoff: false,
         regions: 1,
-        drain: false,
         json_out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -136,24 +121,13 @@ fn parse_args() -> Args {
             "--trace" => args.trace = Some(take(&argv, &mut i, &flag)),
             "--chaos" => {
                 // The plan name is optional: a following flag (or end of
-                // argv) means "empty plan" — chaos machinery on, faults
-                // supplied by other flags like --vault-crash.
+                // argv) means the empty plan.
                 let named = argv.get(i).filter(|v| !v.starts_with("--")).cloned();
                 if named.is_some() {
                     i += 1;
                 }
-                args.chaos = Some(named.unwrap_or_default());
+                args.chaos = named.unwrap_or_default();
             }
-            "--hostile" => {
-                // Same optional-value shape as --chaos: with no PLAN the
-                // canned hostile-guest plan is appended.
-                let named = argv.get(i).filter(|v| !v.starts_with("--")).cloned();
-                if named.is_some() {
-                    i += 1;
-                }
-                args.hostile = Some(named.unwrap_or_default());
-            }
-            "--vault-crash" => args.vault_crash = true,
             "--chaos-seed" => {
                 args.chaos_seed = Some(take(&argv, &mut i, &flag).parse().expect("--chaos-seed"));
             }
@@ -163,13 +137,7 @@ fn parse_args() -> Args {
                 args.unattested.push(take(&argv, &mut i, &flag).parse().expect("--unattested"));
             }
             "--topology" => args.topology = true,
-            "--handoff" => {
-                args.handoff = true;
-                // A handoff storm is only meaningful on a routed world.
-                args.topology = true;
-            }
             "--regions" => args.regions = take(&argv, &mut i, &flag).parse().expect("--regions"),
-            "--drain" => args.drain = true,
             "--json-out" => {
                 // Optional value, same shape as --chaos: with no PATH the
                 // record lands in BENCH_fleet_throughput.json.
@@ -210,9 +178,7 @@ fn main() {
     cfg.tenant_deny = parsed.deny.clone();
     cfg.unattested_nodes = parsed.unattested.clone();
     cfg.topology = parsed.topology;
-    cfg.handoff = parsed.handoff;
     cfg.regions = parsed.regions;
-    cfg.drain = parsed.drain;
 
     let mut obs = FleetObs::default();
     let sink = parsed.trace.as_ref().map(|_| {
@@ -221,56 +187,23 @@ fn main() {
         sink
     });
 
-    // Tenancy rides the chaos scheduler (its gates live there), so
-    // --tenants forces the chaos path even with no injected faults.
-    // Routed worlds (and their handoff storms) are likewise built by the
-    // chaos executor, so --topology/--handoff force the chaos path too.
-    // Regions and drains live in the membership schedule, which only the
-    // chaos executor builds — --regions/--drain force the chaos path.
-    let wants_chaos = parsed.chaos.is_some()
-        || parsed.vault_crash
-        || parsed.hostile.is_some()
-        || parsed.tenants > 0
-        || parsed.topology
-        || parsed.regions > 1
-        || parsed.drain;
-    let plan = wants_chaos.then(|| {
-        let mut plan = match parsed.chaos.as_deref() {
-            None | Some("") => ChaosPlan::empty(),
-            Some(name) => ChaosPlan::canned(name).unwrap_or_else(|| {
-                eprintln!(
-                    "unknown chaos plan {name:?}; known plans: {}",
-                    ChaosPlan::canned_names().join(", ")
-                );
-                std::process::exit(2);
-            }),
-        };
-        if parsed.vault_crash {
-            let vault = ChaosPlan::canned("vault-crash").expect("canned vault-crash plan");
-            plan.events.extend(vault.events);
-        }
-        if let Some(name) = parsed.hostile.as_deref() {
-            let name = if name.is_empty() { "hostile-guest" } else { name };
-            let hostile = ChaosPlan::canned(name).unwrap_or_else(|| {
-                eprintln!(
-                    "unknown hostile plan {name:?}; known plans: {}",
-                    ChaosPlan::canned_names().join(", ")
-                );
-                std::process::exit(2);
-            });
-            plan.events.extend(hostile.events);
-        }
-        if let Some(seed) = parsed.chaos_seed {
-            plan.seed = seed;
-        }
-        plan
-    });
-
-    let report = match &plan {
-        Some(plan) => run_fleet_chaos(&cfg, plan, &obs),
-        None => run_fleet_obs(&cfg, &obs),
+    let mut plan = if parsed.chaos.is_empty() {
+        ChaosPlan::empty()
+    } else {
+        ChaosPlan::canned(&parsed.chaos).unwrap_or_else(|| {
+            eprintln!(
+                "unknown chaos plan {:?}; known plans (join with '+'): {}",
+                parsed.chaos,
+                ChaosPlan::canned_names().join(", ")
+            );
+            std::process::exit(2);
+        })
+    };
+    if let Some(seed) = parsed.chaos_seed {
+        plan.seed = seed;
     }
-    .unwrap_or_else(|e| {
+
+    let report = run_fleet_chaos(&cfg, &plan, &obs).unwrap_or_else(|e| {
         eprintln!("fleet refused to start: {e}");
         std::process::exit(2);
     });
@@ -290,35 +223,33 @@ fn main() {
         "\nsessions {} | ok {} | failed {} | failovers {}",
         report.sessions, report.ok, report.failed, report.failovers
     );
-    if plan.is_some() {
-        println!(
-            "chaos    replays {} | success-after-retry {} | fail-closed {} | \
+    println!(
+        "chaos    replays {} | success-after-retry {} | fail-closed {} | \
              deliveries {} (+{} deduped) | residue violations {}",
-            report.replays,
-            report.success_after_retry,
-            report.fail_closed,
-            report.deliveries,
-            report.duplicate_deliveries,
-            report.residue_violations,
-        );
-        println!(
-            "vault    recoveries {} | torn repairs {} | lost cors {} | stale serves {} | \
+        report.replays,
+        report.success_after_retry,
+        report.fail_closed,
+        report.deliveries,
+        report.duplicate_deliveries,
+        report.residue_violations,
+    );
+    println!(
+        "vault    recoveries {} | torn repairs {} | lost cors {} | stale serves {} | \
              catch-up lsns {} | wal plaintexts {} | device leaks {}",
-            report.vault_recoveries,
-            report.torn_tail_repairs,
-            report.lost_cors,
-            report.stale_serves,
-            report.vault_catchup_lsns,
-            report.wal_plaintexts,
-            report.wal_device_leaks,
-        );
-        let [fuel, heap, depth, dsm, deadline] = report.budget_exhaustions;
-        println!(
-            "guard    kills {} | shed {} | exhausted fuel/heap/depth/dsm/deadline \
+        report.vault_recoveries,
+        report.torn_tail_repairs,
+        report.lost_cors,
+        report.stale_serves,
+        report.vault_catchup_lsns,
+        report.wal_plaintexts,
+        report.wal_device_leaks,
+    );
+    let [fuel, heap, depth, dsm, deadline] = report.budget_exhaustions;
+    println!(
+        "guard    kills {} | shed {} | exhausted fuel/heap/depth/dsm/deadline \
              {}/{}/{}/{}/{}",
-            report.guest_kills, report.shed_sessions, fuel, heap, depth, dsm, deadline,
-        );
-    }
+        report.guest_kills, report.shed_sessions, fuel, heap, depth, dsm, deadline,
+    );
     if parsed.topology {
         println!(
             "net      handoffs {} | nat rewrites {} | nat rebinds {} | dns faults {} | \
@@ -330,7 +261,7 @@ fn main() {
             report.route_drops,
         );
     }
-    if report.region_mode {
+    if cfg.regions > 1 || report.migrations > 0 {
         println!(
             "region   regions {} | migrations {} | evacuations {} | region failovers {} | \
              migration residue {} | no-region kills {}",
@@ -374,13 +305,10 @@ fn main() {
             n.utilization * 100.0,
             n.health
         );
-        if plan.is_some() {
-            print!(
-                "  breaker closed/open/half {}/{}/{}",
-                n.breaker_closed, n.breaker_open, n.breaker_half_open
-            );
-        }
-        println!();
+        println!(
+            "  breaker closed/open/half {}/{}/{}",
+            n.breaker_closed, n.breaker_open, n.breaker_half_open
+        );
     }
     println!(
         "throughput: {:.2} sessions/sim-s | {:.2} sessions/wall-s ({} workers, {:.2}s wall)",
@@ -388,7 +316,7 @@ fn main() {
     );
 
     if let Some(path) = parsed.json_out.as_deref() {
-        let record = bench_record(&parsed, &plan, &report);
+        let record = bench_record(&parsed, &report);
         let blob = serde_json::to_string_pretty(&record).expect("serialize bench record");
         std::fs::write(path, blob + "\n").expect("write --json-out file");
         println!("bench record -> {path}");
@@ -401,11 +329,7 @@ fn main() {
 /// versioned subset for baseline diffing — throughput, latency
 /// percentiles, bytes synced, and (when tenancy is on) the tenant
 /// isolation counters.
-fn bench_record(
-    parsed: &Args,
-    plan: &Option<ChaosPlan>,
-    report: &tinman_fleet::FleetReport,
-) -> serde_json::Value {
+fn bench_record(parsed: &Args, report: &tinman_fleet::FleetReport) -> serde_json::Value {
     serde_json::json!({
         "schema": "tinman.fleet_throughput/v1",
         "config": {
@@ -413,11 +337,9 @@ fn bench_record(
             "workers": parsed.workers as u64,
             "nodes": parsed.nodes as u64,
             "tenants": parsed.tenants as u64,
-            "chaos": plan.is_some(),
+            "chaos": parsed.chaos,
             "topology": parsed.topology,
-            "handoff": parsed.handoff,
             "regions": parsed.regions as u64,
-            "drain": parsed.drain,
         },
         "throughput": {
             "sessions_per_sim_sec": report.sim_throughput,

@@ -486,9 +486,20 @@ impl ChaosPlan {
         Ok(())
     }
 
-    /// A named, canned scenario. `None` for an unknown name; see
-    /// [`ChaosPlan::canned_names`].
+    /// A named, canned scenario, or several joined with `+` (e.g.
+    /// `"crash-primary+vault-crash"`): their events concatenate in order,
+    /// and the seed, deadline and breaker settings come from the first.
+    /// `None` if any name is unknown; see [`ChaosPlan::canned_names`].
     pub fn canned(name: &str) -> Option<ChaosPlan> {
+        let mut parts = name.split('+');
+        let mut plan = ChaosPlan::canned_one(parts.next()?)?;
+        for part in parts {
+            plan.events.extend(ChaosPlan::canned_one(part)?.events);
+        }
+        Some(plan)
+    }
+
+    fn canned_one(name: &str) -> Option<ChaosPlan> {
         let mut plan = ChaosPlan::default();
         match name {
             // The acceptance scenario: crash the primary mid-session with
@@ -691,6 +702,17 @@ impl ChaosPlan {
                 plan.events =
                     vec![ChaosEvent::RollingUpgrade { wave_sessions: 3, from_session: 2 }];
             }
+            // A standing drain of node 0: every session placed there is
+            // checkpointed at a DSM sync point and live-migrates to a
+            // peer, so any run exercises the checkpoint/migrate/scrub
+            // path without a region outage.
+            "drain" => {
+                plan.events = vec![ChaosEvent::NodeDrain {
+                    node: 0,
+                    from_session: 0,
+                    until_session: u64::MAX,
+                }];
+            }
             // A noisy but survivable wire: loss, corruption, and delay.
             "wire-noise" => {
                 plan.events = vec![
@@ -704,7 +726,7 @@ impl ChaosPlan {
         Some(plan)
     }
 
-    /// The names [`ChaosPlan::canned`] recognizes.
+    /// The plan names [`ChaosPlan::canned`] recognizes and joins with `+`.
     pub fn canned_names() -> &'static [&'static str] {
         &[
             "crash-primary",
@@ -718,6 +740,7 @@ impl ChaosPlan {
             "nat-traversal",
             "region-failover",
             "rolling-upgrade",
+            "drain",
         ]
     }
 
@@ -986,6 +1009,22 @@ mod tests {
             plan.validate(4).unwrap_or_else(|e| panic!("canned plan {name} invalid: {e}"));
         }
         assert!(ChaosPlan::canned("nope").is_none());
+    }
+
+    #[test]
+    fn joined_canned_plans_concatenate_onto_the_first() {
+        let crash = ChaosPlan::canned("crash-primary").unwrap();
+        let mut spliced = crash.clone();
+        spliced.events.extend(ChaosPlan::canned("vault-crash").unwrap().events);
+        assert_eq!(ChaosPlan::canned("crash-primary+vault-crash"), Some(spliced));
+        // The first plan's parameters win, even when a later one has its own.
+        let joined = ChaosPlan::canned("crash-primary+recovery").unwrap();
+        assert_eq!((joined.trip_after, joined.probe_every), (crash.trip_after, crash.probe_every));
+        let recovery = ChaosPlan::canned("recovery+crash-primary").unwrap();
+        assert_eq!((recovery.trip_after, recovery.probe_every), (2, 3));
+        for bad in ["crash-primary+nope", "nope+drain", "drain+", "+drain"] {
+            assert!(ChaosPlan::canned(bad).is_none(), "{bad:?} must not resolve");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The chaos scheduler: runs a fleet under a [`ChaosPlan`] with
-//! fail-closed session recovery.
-//!
-//! This is the clean scheduler ([`crate::sched`]) plus four mechanisms:
+//! The fleet executor: runs every session of a fleet under a
+//! [`ChaosPlan`] — the empty plan for a clean fleet — with fail-closed
+//! session recovery. Every session goes through the same pipeline:
 //!
 //! 1. **Fault arming** — before each attempt the plan is projected onto
 //!    the `(node, session)` pair ([`session_faults`]) and translated into
@@ -32,13 +31,12 @@
 use std::time::Instant;
 
 use tinman_chaos::{
-    session_faults, BreakerSchedule, BreakerState, ChaosEvent, ChaosPlan, DeliveryLedger,
-    SessionFaults, VaultCrashKind,
+    session_faults, BreakerSchedule, BreakerState, ChaosPlan, DeliveryLedger, SessionFaults,
+    VaultCrashKind,
 };
 use tinman_core::runtime::{Mode, TinmanRuntime};
 use tinman_core::RuntimeError;
 use tinman_dsm::{DsmError, SyncFault};
-use tinman_guard::KillReason;
 use tinman_net::{Handoff, NetChaos};
 use tinman_obs::TraceEvent;
 use tinman_sim::{LinkProfile, SimDuration, SimTime, SplitMix64};
@@ -52,14 +50,13 @@ use crate::pool::NodePool;
 use crate::region::RegionMap;
 use crate::report::FleetReport;
 use crate::retry::{migration_policy, RetryBudget};
-use crate::sched::{run_worker_pool, surface_clamp, FleetObs};
+use crate::sched::{run_worker_pool, FleetObs};
 use crate::session::{
-    base_link, build_session_world_net, expect_success, outcome_from_report, session_inputs,
-    SessionNet, SessionOutcome,
+    base_link, build_session_world_net, expect_success, session_inputs, SessionNet, SessionOutcome,
 };
 use crate::spec::{build_session_specs, FleetConfig, SessionSpec};
 use crate::tenancy::TenantSchedule;
-use crate::vault_audit::{audit_session_vault, audit_session_vault_sealed, VaultAudit};
+use crate::vault_audit::{audit_session_vault, audit_session_vault_sealed};
 
 /// Translates a session's projected faults into the hermetic world's own
 /// hooks. The DSM fault is installed even when inert (no windows): that
@@ -182,37 +179,158 @@ fn emit_fault_events(
     }
 }
 
-fn emit_failover(
-    obs: &FleetObs,
-    session: u64,
-    node: usize,
-    i: usize,
-    penalty: SimDuration,
-    delay: SimDuration,
-) {
-    if !obs.trace.is_enabled() {
-        return;
-    }
-    let t = SimTime::ZERO + penalty;
-    obs.trace.emit_on(
-        session,
-        t,
-        TraceEvent::FleetFailover { session, node: node as u64, attempt: i as u32 },
-    );
-    obs.trace.emit_on(
-        session,
-        t,
-        TraceEvent::FleetBackoff { session, attempt: i as u32, delay_ns: delay.as_nanos() },
-    );
+/// Everything a fleet run derives from its config and chaos plan before
+/// any session runs, built once per run and shared read-only by every
+/// worker. Each part is a pure replay on the session-id axis, so what a
+/// session meets never depends on worker interleaving.
+pub struct FleetSchedule {
+    /// The fault plan (empty for a clean fleet).
+    plan: ChaosPlan,
+    /// Per-node circuit-breaker views.
+    breaker: BreakerSchedule,
+    /// Guard arming and load-shedding verdicts.
+    guard: GuardSchedule,
+    /// Tenant policy verdicts, attestation, and key epochs.
+    tenancy: TenantSchedule,
+    /// The region map and every node's membership state.
+    membership: MembershipSchedule,
 }
 
-/// Runs one session under the plan: walk the replica order, skip nodes
-/// whose breaker is Open (or whose static health is Down), arm the
-/// projected faults, run, and on a mid-session failure retry on the next
-/// replica with a checkpoint credit — until success, attempt exhaustion,
-/// or the deadline budget runs out. Exhaustion is a *fail-closed*
-/// outcome: the device keeps only placeholders; no retry path ever
-/// relaxes that.
+impl FleetSchedule {
+    /// Validates `plan` against the (post-clamp) pool and precomputes
+    /// every schedule `specs` will consult.
+    pub fn build(
+        cfg: &FleetConfig,
+        pool: &NodePool,
+        plan: &ChaosPlan,
+        specs: &[SessionSpec],
+    ) -> Result<FleetSchedule, FleetError> {
+        plan.validate(pool.len())?;
+        let regions = RegionMap::new(cfg.regions, pool.len())?;
+        Ok(FleetSchedule {
+            breaker: BreakerSchedule::build(plan, pool.len(), cfg.sessions as u64),
+            guard: GuardSchedule::build(cfg, pool, plan, specs),
+            tenancy: TenantSchedule::build(cfg, pool.len(), plan, specs),
+            membership: MembershipSchedule::build(plan, pool.len(), regions)?,
+            plan: plan.clone(),
+        })
+    }
+
+    /// Replays the breaker and membership transitions into the trace,
+    /// stamped on the session-id axis they happen on.
+    fn emit_transitions(&self, nodes: usize, sessions: u64, obs: &FleetObs) {
+        for node in 0..nodes {
+            for (session, from, to) in self.breaker.transitions(node) {
+                obs.trace.emit_on(
+                    session,
+                    SimTime::ZERO,
+                    TraceEvent::BreakerTransition {
+                        node: node as u64,
+                        session,
+                        from: from.as_str(),
+                        to: to.as_str(),
+                    },
+                );
+            }
+        }
+        if !self.membership.has_events() {
+            return;
+        }
+        for node in 0..nodes {
+            let mut prev = MembershipState::Serving;
+            for session in 0..sessions {
+                let state = self.membership.state_at(node, session);
+                if state != prev {
+                    obs.trace.emit_on(
+                        session,
+                        SimTime::ZERO,
+                        TraceEvent::MembershipTransition {
+                            node: node as u64,
+                            session,
+                            from: prev.as_str(),
+                            to: state.as_str(),
+                        },
+                    );
+                    prev = state;
+                }
+            }
+        }
+    }
+}
+
+/// Why a session failed closed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FailReason {
+    /// Guard admission shed the session before any attempt.
+    Overloaded,
+    /// The tenant declassification policy refused the session's flow.
+    PolicyDenied,
+    /// The guard killed the guest for exhausting a budget.
+    GuestKilled,
+    /// A lagging vault replica could not catch up inside the deadline.
+    StaleReplica,
+    /// A compromised tenant key could not afford its forced re-seal.
+    RevokedKey,
+    /// Checkpointed off a draining or dying node, with no admissible
+    /// peer inside the deadline.
+    NoRegion,
+    /// The penalty deadline ran out.
+    Deadline,
+    /// Every replica the session reached failed attestation; it never ran.
+    Unattested,
+    /// Every placement attempt failed.
+    AttemptsExhausted,
+}
+
+impl FailReason {
+    /// The stable name the `fail_closed` trace event carries.
+    fn as_str(self) -> &'static str {
+        match self {
+            FailReason::Overloaded => "overloaded",
+            FailReason::PolicyDenied => "policy_denied",
+            FailReason::GuestKilled => "guest_killed",
+            FailReason::StaleReplica => "stale_replica",
+            FailReason::RevokedKey => "revoked_key",
+            FailReason::NoRegion => "no_region",
+            FailReason::Deadline => "deadline",
+            FailReason::Unattested => "unattested",
+            FailReason::AttemptsExhausted => "attempts_exhausted",
+        }
+    }
+}
+
+/// Closes `out` as a placeholder-only failure after `penalty` of
+/// simulated time, counting and tracing `reason`.
+fn fail_closed(
+    mut out: SessionOutcome,
+    reason: FailReason,
+    penalty: SimDuration,
+    obs: &FleetObs,
+) -> SessionOutcome {
+    obs.metrics.incr("chaos.fail_closed");
+    if obs.trace.is_enabled() {
+        obs.trace.emit_on(
+            out.id,
+            SimTime::ZERO + penalty,
+            TraceEvent::FailClosed { session: out.id, reason: reason.as_str() },
+        );
+    }
+    if reason == FailReason::NoRegion {
+        out.no_region = true;
+        obs.metrics.incr("fleet.region.no_region_kills");
+    }
+    out.fail_closed = true;
+    out.latency = penalty;
+    out
+}
+
+/// Runs one session under the schedule's plan: walk the replica order,
+/// skip nodes whose breaker is Open (or whose static health is Down),
+/// arm the projected faults, run, and on a mid-session failure retry on
+/// the next replica with a checkpoint credit — until success, attempt
+/// exhaustion, or the deadline budget runs out. Exhaustion is a
+/// *fail-closed* outcome: the device keeps only placeholders; no retry
+/// path ever relaxes that.
 ///
 /// With tenancy enabled ([`TenantSchedule::enabled`]) three more gates
 /// apply, all deterministic replays: the declassification policy can
@@ -233,26 +351,21 @@ fn emit_failover(
 /// peer with the checkpoint instant as replay credit. A session that
 /// migrates but finds no admissible target within its deadline fails
 /// closed with reason `no_region`.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_with_chaos(
     cfg: &FleetConfig,
     pool: &NodePool,
     spec: &SessionSpec,
-    plan: &ChaosPlan,
-    schedule: &BreakerSchedule,
-    guard: &GuardSchedule,
-    tenancy: &TenantSchedule,
-    membership: &MembershipSchedule,
+    schedule: &FleetSchedule,
     obs: &FleetObs,
 ) -> SessionOutcome {
+    let FleetSchedule { plan, breaker, guard, tenancy, membership } = schedule;
+    let mut out = SessionOutcome { id: spec.id, ..SessionOutcome::default() };
     // Load shedding: when the guard schedule says this session's budget
     // reservation does not fit its node, it is shed before any attempt —
-    // a deterministic, breaker-style fail-closed outcome with reason
-    // `overloaded`.
+    // a deterministic, breaker-style fail-closed outcome.
     if guard.shed(spec.id) {
         let node = pool.place(spec.placement_key());
         obs.metrics.incr("guard.sheds");
-        obs.metrics.incr("chaos.fail_closed");
         if obs.trace.is_enabled() {
             obs.trace.emit_on(
                 spec.id,
@@ -260,26 +373,18 @@ pub fn execute_with_chaos(
                 TraceEvent::SessionShed {
                     session: spec.id,
                     node: node as u64,
-                    reason: "overloaded",
+                    reason: FailReason::Overloaded.as_str(),
                 },
             );
-            obs.trace.emit_on(
-                spec.id,
-                SimTime::ZERO,
-                TraceEvent::FailClosed { session: spec.id, reason: "overloaded" },
-            );
         }
-        let mut out = SessionOutcome::failed(spec.id, 0, SimDuration::ZERO);
-        out.fail_closed = true;
         out.shed = true;
-        return out;
+        return fail_closed(out, FailReason::Overloaded, SimDuration::ZERO, obs);
     }
     // Tenant declassification policy: a session the engine refused
     // fails closed before any placement — its cors never leave the
     // device toward the denied domain.
     if let Some(deny_reason) = tenancy.denial(spec.id) {
         obs.metrics.incr("tenant.policy_denials");
-        obs.metrics.incr("chaos.fail_closed");
         if obs.trace.is_enabled() {
             obs.trace.emit_on(
                 spec.id,
@@ -291,16 +396,9 @@ pub fn execute_with_chaos(
                     reason: deny_reason,
                 },
             );
-            obs.trace.emit_on(
-                spec.id,
-                SimTime::ZERO,
-                TraceEvent::FailClosed { session: spec.id, reason: "policy_denied" },
-            );
         }
-        let mut out = SessionOutcome::failed(spec.id, 0, SimDuration::ZERO);
-        out.fail_closed = true;
         out.policy_denials = 1;
-        return out;
+        return fail_closed(out, FailReason::PolicyDenied, SimDuration::ZERO, obs);
     }
     // Region-salted placement: home-region nodes first, then foreign
     // regions in rotation. Identity order on a flat fleet.
@@ -308,75 +406,65 @@ pub fn execute_with_chaos(
     let order = regions.order(pool, spec.placement_key());
     let home = regions.home_region(spec.placement_key());
     let mut penalty = SimDuration::ZERO;
-    let mut attempts = 0u32;
-    let mut replays = 0u32;
     let mut ledger = DeliveryLedger::new();
-    let mut residue_violations = 0u64;
-    // Topology-layer availability columns, accumulated across attempts.
-    let mut net_handoffs = 0u64;
-    let mut net_nat_rewrites = 0u64;
-    let mut net_nat_rebinds = 0u64;
-    let mut net_dns_faults = 0u64;
-    let mut net_route_drops = 0u64;
-    // Durability-audit totals across attempts, folded into the outcome.
-    let mut vault_totals = VaultAudit::default();
-    let mut catchup_lsns = 0u64;
-    let mut stale_blocked = false;
     // Session time already covered by completed DSM syncs on a failed
     // attempt — the replay resumes from this boundary.
     let mut credit = SimDuration::ZERO;
     let mut ran_before = false;
-    let mut deadline_hit = false;
-    let mut guest_kill: Option<KillReason> = None;
-    // Tenancy state: the plan's key faults for this (tenant, session),
-    // attestation-refusal count, and whether the rotation re-seal has
-    // been paid (once per session).
+    // The plan's key faults for this (tenant, session).
     let tf = tenancy.faults(spec);
-    let mut unattested_refusals = 0u64;
-    let mut rotation_paid = false;
-    let mut revoked_blocked = false;
-    // Live-migration state: checkpointed hand-offs completed so far, how
-    // many were planned evacuations, residue found by the migration
-    // scrub audit, and the (source node, wire bytes) of a checkpoint
-    // waiting to resume on the next admissible peer.
-    let mut migrations = 0u64;
-    let mut evacuations = 0u64;
-    let mut migration_residue = 0u64;
+    // Live-migration state: how many checkpoints have shipped, and the
+    // (source node, wire bytes) of one waiting to resume on the next
+    // admissible peer.
     let mut migration_idx = 0u64;
     let mut pending_migration: Option<(usize, u64)> = None;
+    // Charges a skipped or failed placement its backoff `delay` and
+    // traces the failover.
+    let fail_over = |penalty: &mut SimDuration, node: usize, i: usize, delay: SimDuration| {
+        *penalty += delay;
+        obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
+        if obs.trace.is_enabled() {
+            let t = SimTime::ZERO + *penalty;
+            let session = spec.id;
+            obs.trace.emit_on(
+                session,
+                t,
+                TraceEvent::FleetFailover { session, node: node as u64, attempt: i as u32 },
+            );
+            obs.trace.emit_on(
+                session,
+                t,
+                TraceEvent::FleetBackoff { session, attempt: i as u32, delay_ns: delay.as_nanos() },
+            );
+        }
+    };
 
+    // The walk ends in `return` on success; `stopped` names why it ended
+    // early, and running out of placements leaves it `None`.
+    let mut stopped: Option<FailReason> = None;
     for (i, &node) in order.iter().take(cfg.max_attempts as usize).enumerate() {
         if penalty > plan.deadline {
-            deadline_hit = true;
+            stopped = Some(FailReason::Deadline);
             break;
         }
-        attempts += 1;
+        out.attempts += 1;
         obs.metrics.incr("fleet.attempts");
         if i > 0 {
             obs.metrics.incr("fleet.failovers");
         }
         // A vanished shard (stale order naming a decommissioned index)
         // is a skipped attempt, never a panic.
-        let shard = match pool.try_shard(node) {
-            Ok(s) => s,
-            Err(_) => {
-                let delay = backoff_delay(cfg.backoff, i as u32);
-                penalty += delay;
-                obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-                emit_failover(obs, spec.id, node, i, penalty, delay);
-                continue;
-            }
+        let Ok(shard) = pool.try_shard(node) else {
+            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
+            continue;
         };
         let health = shard.health();
-        let breaker = schedule.view(node, spec.id);
-        if !health.can_serve() || breaker == BreakerState::Open {
-            if breaker == BreakerState::Open {
+        let view = breaker.view(node, spec.id);
+        if !health.can_serve() || view == BreakerState::Open {
+            if view == BreakerState::Open {
                 obs.metrics.incr("chaos.breaker_skips");
             }
-            let delay = backoff_delay(cfg.backoff, i as u32);
-            penalty += delay;
-            obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-            emit_failover(obs, spec.id, node, i, penalty, delay);
+            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
             continue;
         }
         // Membership gate: a node outside a startable state admits
@@ -388,25 +476,20 @@ pub fn execute_with_chaos(
         let dying = membership.in_flight_death(node, spec.id);
         if !mstate.can_start() && !dying {
             obs.metrics.incr("fleet.region.membership_skips");
-            let delay = backoff_delay(cfg.backoff, i as u32);
-            penalty += delay;
-            obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-            emit_failover(obs, spec.id, node, i, penalty, delay);
+            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
             continue;
         }
         // Attestation gate: a node that cannot prove it runs the full
         // four-class taint engine is refused tenant plaintext placement
         // — the walk moves on to the next replica.
         if tenancy.enabled() && !tenancy.attested(node) {
-            unattested_refusals += 1;
+            out.unattested_refusals += 1;
             obs.metrics.incr("tenant.unattested_refusals");
             let delay = backoff_delay(cfg.backoff, i as u32);
-            penalty += delay;
-            obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
             if obs.trace.is_enabled() {
                 obs.trace.emit_on(
                     spec.id,
-                    SimTime::ZERO + penalty,
+                    SimTime::ZERO + penalty + delay,
                     TraceEvent::AttestationRefused {
                         session: spec.id,
                         tenant: spec.tenant,
@@ -414,7 +497,7 @@ pub fn execute_with_chaos(
                     },
                 );
             }
-            emit_failover(obs, spec.id, node, i, penalty, delay);
+            fail_over(&mut penalty, node, i, delay);
             continue;
         }
         let faults = session_faults(plan, node, spec.id, spec.seed);
@@ -431,25 +514,19 @@ pub fn execute_with_chaos(
         // Admission control: wall-clock flow only, no simulated effect.
         let _permit = shard.acquire();
         let shard_labels = (shard.label_start, shard.label_end);
-        // Routed sessions get bounded re-sync retries: a handoff blackout
-        // mid-offload must be survivable, and exhaustion fails closed as
-        // a guest kill. Flat sessions keep the historical zero-retry
-        // behaviour byte-for-byte.
+        // Routed sessions get bounded re-sync retries: a handoff
+        // blackout mid-offload must be survivable, and exhaustion
+        // fails closed as a guest kill. Flat sessions surface a sync
+        // timeout immediately.
         let net =
             SessionNet { topology: cfg.topology, resync_retries: if cfg.topology { 3 } else { 0 } };
         let built = match faults.hostile_guest {
             Some(kind) => build_hostile_world(spec, kind, shard_labels, link, &obs.trace),
             None => build_session_world_net(spec, shard_labels, link, &obs.trace, net),
         };
-        let mut world = match built {
-            Ok(w) => w,
-            Err(_) => {
-                let delay = backoff_delay(cfg.backoff, i as u32);
-                penalty += delay;
-                obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-                emit_failover(obs, spec.id, node, i, penalty, delay);
-                continue;
-            }
+        let Ok(mut world) = built else {
+            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
+            continue;
         };
         // On a hostile run every session — benign or not — executes under
         // the guard; hostile worlds arm it themselves.
@@ -469,11 +546,11 @@ pub fn execute_with_chaos(
                 let cost = catch_up_cost(missing);
                 if penalty + cost > plan.deadline {
                     obs.metrics.incr("vault.stale_blocked");
-                    stale_blocked = true;
+                    stopped = Some(FailReason::StaleReplica);
                     break;
                 }
                 penalty += cost;
-                catchup_lsns += missing;
+                out.vault_catchup_lsns += missing;
                 obs.metrics.incr("vault.catch_ups");
                 obs.metrics.add("vault.catchup_lsns", missing);
                 if obs.trace.is_enabled() {
@@ -499,30 +576,26 @@ pub fn execute_with_chaos(
         if mstate == MembershipState::CatchingUp {
             let lsns = world.secrets.len() as u64;
             let mut budget = RetryBudget::new(plan.deadline.saturating_sub(penalty));
-            match catch_up_within(lsns, &mut budget) {
-                Some(cost) => {
-                    penalty += cost;
-                    catchup_lsns += lsns;
-                    obs.metrics.incr("fleet.region.rejoin_catch_ups");
-                    obs.metrics.add("vault.catchup_lsns", lsns);
-                    if obs.trace.is_enabled() {
-                        obs.trace.emit_on(
-                            spec.id,
-                            SimTime::ZERO + penalty,
-                            TraceEvent::VaultCatchUp {
-                                session: spec.id,
-                                node: node as u64,
-                                lsns,
-                                cost_ns: cost.as_nanos(),
-                            },
-                        );
-                    }
-                }
-                None => {
-                    obs.metrics.incr("vault.stale_blocked");
-                    stale_blocked = true;
-                    break;
-                }
+            let Some(cost) = catch_up_within(lsns, &mut budget) else {
+                obs.metrics.incr("vault.stale_blocked");
+                stopped = Some(FailReason::StaleReplica);
+                break;
+            };
+            penalty += cost;
+            out.vault_catchup_lsns += lsns;
+            obs.metrics.incr("fleet.region.rejoin_catch_ups");
+            obs.metrics.add("vault.catchup_lsns", lsns);
+            if obs.trace.is_enabled() {
+                obs.trace.emit_on(
+                    spec.id,
+                    SimTime::ZERO + penalty,
+                    TraceEvent::VaultCatchUp {
+                        session: spec.id,
+                        node: node as u64,
+                        lsns,
+                        cost_ns: cost.as_nanos(),
+                    },
+                );
             }
         }
         // A draining node admits the session but checkpoints it at the
@@ -539,24 +612,25 @@ pub fn execute_with_chaos(
             world.rt.set_drain_at(SimTime::ZERO + offset, world.secrets.clone());
         }
         // Mid-session tenant key rotation: re-sealing this session's
-        // vault bytes under the new epoch costs simulated time, charged
-        // against the deadline like a replica catch-up. When the budget
-        // cannot absorb the re-seal the session fails closed — with
-        // reason `revoked_key` if the rotation was forced by a key
+        // vault bytes under the new epoch costs simulated time,
+        // charged against the deadline like a replica catch-up, and
+        // paid once per session. When the budget cannot absorb the
+        // re-seal the session fails closed — with reason
+        // `revoked_key` if the rotation was forced by a key
         // compromise (the old epoch is revoked; nothing may be served
         // under it), plain `deadline` otherwise.
-        if tenancy.enabled() && tf.rotates && !rotation_paid {
+        if tenancy.enabled() && tf.rotates && out.tenant_key_rotations == 0 {
             let cost = rotation_cost(world.secrets.len() as u64);
             if penalty + cost > plan.deadline {
-                if tf.compromised {
+                stopped = Some(if tf.compromised {
                     obs.metrics.incr("tenant.revoked_blocked");
-                    revoked_blocked = true;
+                    FailReason::RevokedKey
                 } else {
-                    deadline_hit = true;
-                }
+                    FailReason::Deadline
+                });
                 break;
             }
-            rotation_paid = true;
+            out.tenant_key_rotations = 1;
             penalty += cost;
             obs.metrics.incr("tenant.key_rotations");
             if obs.trace.is_enabled() {
@@ -593,7 +667,7 @@ pub fn execute_with_chaos(
             }
         }
         if ran_before {
-            replays += 1;
+            out.replays += 1;
             obs.metrics.incr("chaos.replays");
             if obs.trace.is_enabled() {
                 obs.trace.emit_on(
@@ -602,7 +676,7 @@ pub fn execute_with_chaos(
                     TraceEvent::SessionReplay {
                         session: spec.id,
                         node: node as u64,
-                        attempt: attempts,
+                        attempt: out.attempts,
                         resume_ns: credit.as_nanos(),
                     },
                 );
@@ -613,11 +687,11 @@ pub fn execute_with_chaos(
         // Topology availability columns: what the wire actually did this
         // attempt (all zero on flat worlds).
         let topo = world.rt.world.topology_stats();
-        net_handoffs += topo.handoffs;
-        net_nat_rewrites += topo.nat_rewrites;
-        net_nat_rebinds += topo.nat_rebinds;
-        net_dns_faults += topo.dns_failures;
-        net_route_drops += topo.route_drops + topo.firewall_drops;
+        out.handoffs += topo.handoffs;
+        out.nat_rewrites += topo.nat_rewrites;
+        out.nat_rebinds += topo.nat_rebinds;
+        out.dns_faults += topo.dns_failures;
+        out.route_drops += topo.route_drops + topo.firewall_drops;
         if world.rt.world.topology_enabled() {
             obs.metrics.add("net.handoff.count", topo.handoffs);
             obs.metrics.add("net.topology.nat_rewrites", topo.nat_rewrites);
@@ -628,6 +702,8 @@ pub fn execute_with_chaos(
         // deterministic session is byte-identical on every replay, so the
         // origin's (session, seq) dedup reduces to prefix bookkeeping.
         let (_, suppressed) = ledger.record_attempt(world.rt.world.injected_count());
+        out.deliveries = ledger.unique();
+        out.duplicate_deliveries = ledger.suppressed();
         if suppressed > 0 {
             obs.metrics.add("chaos.dedup_suppressed", suppressed);
             if obs.trace.is_enabled() {
@@ -643,7 +719,7 @@ pub fn execute_with_chaos(
         for secret in &world.secrets {
             let hits = world.rt.scan_residue(secret).len() as u64;
             if hits > 0 {
-                residue_violations += hits;
+                out.residue_violations += hits;
                 obs.metrics.add("chaos.residue_violations", hits);
             }
         }
@@ -671,13 +747,12 @@ pub fn execute_with_chaos(
             } else {
                 audit_session_vault(&world.rt, &world.secrets, faults.vault_crash, faults.dice_seed)
             };
-            vault_totals.recoveries += audit.recoveries;
-            vault_totals.torn_repairs += audit.torn_repairs;
-            vault_totals.lost_cors += audit.lost_cors;
-            vault_totals.duplicates += audit.duplicates;
-            vault_totals.wal_plaintexts += audit.wal_plaintexts;
-            vault_totals.wal_device_leaks += audit.wal_device_leaks;
-            vault_totals.cross_tenant_hits += audit.cross_tenant_hits;
+            out.vault_recoveries += audit.recoveries;
+            out.torn_tail_repairs += audit.torn_repairs;
+            out.lost_cors += audit.lost_cors;
+            out.wal_plaintexts += audit.wal_plaintexts;
+            out.wal_device_leaks += audit.wal_device_leaks;
+            out.cross_tenant_residue += audit.cross_tenant_hits;
             obs.metrics.add("tenant.cross_tenant_residue", audit.cross_tenant_hits);
             obs.metrics.add("vault.recoveries", audit.recoveries);
             obs.metrics.add("vault.torn_repairs", audit.torn_repairs);
@@ -705,32 +780,10 @@ pub fn execute_with_chaos(
                 // it back so latency reflects resume-from-checkpoint.
                 let effective = penalty + (report.latency - credit);
                 obs.metrics.observe("fleet.session_latency_ns", effective.as_nanos());
-                if attempts > 1 {
+                if out.attempts > 1 {
                     obs.metrics.incr("chaos.success_after_retry");
                 }
-                let mut out = outcome_from_report(spec, node, attempts, penalty, &report);
-                out.latency = effective;
-                out.replays = replays;
-                out.deliveries = ledger.unique();
-                out.duplicate_deliveries = ledger.suppressed();
-                out.residue_violations = residue_violations;
-                out.vault_recoveries = vault_totals.recoveries;
-                out.torn_tail_repairs = vault_totals.torn_repairs;
-                out.lost_cors = vault_totals.lost_cors;
-                out.vault_catchup_lsns = catchup_lsns;
-                out.wal_plaintexts = vault_totals.wal_plaintexts;
-                out.wal_device_leaks = vault_totals.wal_device_leaks;
-                out.cross_tenant_residue = vault_totals.cross_tenant_hits;
-                out.unattested_refusals = unattested_refusals;
-                out.tenant_key_rotations = u64::from(rotation_paid);
-                out.handoffs = net_handoffs;
-                out.nat_rewrites = net_nat_rewrites;
-                out.nat_rebinds = net_nat_rebinds;
-                out.dns_faults = net_dns_faults;
-                out.route_drops = net_route_drops;
-                out.migrations = migrations;
-                out.evacuations = evacuations;
-                out.migration_residue = migration_residue;
+                out.serve(node, effective, &report);
                 // Served outside the home region: a region failover.
                 if !regions.flat() && regions.region_of(node) != home {
                     out.region_failovers = 1;
@@ -742,7 +795,7 @@ pub fn execute_with_chaos(
                 // A guard kill is deterministic: replaying the same guest
                 // on a replica dies the same way, so the kill is terminal
                 // and the session fails closed immediately.
-                guest_kill = Some(reason);
+                out.guest_kill = Some(reason);
                 obs.metrics.incr("guard.kills");
                 obs.metrics.incr(match reason.column() {
                     "fuel" => "guard.fuel_exhausted",
@@ -756,11 +809,12 @@ pub fn execute_with_chaos(
                 for secret in &world.secrets {
                     let hits = world.rt.scan_node_residue(secret).len() as u64;
                     if hits > 0 {
-                        residue_violations += hits;
+                        out.residue_violations += hits;
                         obs.metrics.add("chaos.residue_violations", hits);
                     }
                 }
                 penalty += world.rt.clock().now().since(SimTime::ZERO);
+                stopped = Some(FailReason::GuestKilled);
                 break;
             }
             Err(RuntimeError::NodeDraining { .. }) => {
@@ -771,10 +825,10 @@ pub fn execute_with_chaos(
                 // serialized state is faithful by round-tripping it, and
                 // carry the checkpoint instant as the replay credit for
                 // the next admissible peer.
-                migrations += 1;
+                out.migrations += 1;
                 obs.metrics.incr("fleet.region.migrations");
                 if mstate == MembershipState::Draining {
-                    evacuations += 1;
+                    out.evacuations += 1;
                     obs.metrics.incr("fleet.region.evacuations");
                 }
                 let t_fail = world.rt.clock().now().since(SimTime::ZERO);
@@ -784,7 +838,7 @@ pub fn execute_with_chaos(
                         hits += world.rt.scan_node_residue(secret).len() as u64;
                     }
                     if hits > 0 {
-                        migration_residue += hits;
+                        out.migration_residue += hits;
                         obs.metrics.add("fleet.region.migration_residue", hits);
                     }
                     match cp.restore() {
@@ -807,9 +861,8 @@ pub fn execute_with_chaos(
                 let delay = migration_policy(cfg.backoff, plan.seed ^ spec.seed.rotate_left(23))
                     .delay(migration_idx);
                 migration_idx += 1;
-                penalty += t_fail + delay;
-                obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-                emit_failover(obs, spec.id, node, i, penalty, delay);
+                penalty += t_fail;
+                fail_over(&mut penalty, node, i, delay);
             }
             other => {
                 if matches!(&other, Err(RuntimeError::Dsm(DsmError::SyncTimeout { .. }))) {
@@ -817,161 +870,67 @@ pub fn execute_with_chaos(
                 }
                 // Where the attempt died on its own timeline: that much
                 // simulated time was genuinely burned.
-                let t_fail = world.rt.clock().now().since(SimTime::ZERO);
+                penalty += world.rt.clock().now().since(SimTime::ZERO);
                 if let Some(cp) = world.rt.dsm_checkpoint() {
                     credit = credit.max(cp.since(SimTime::ZERO));
                 }
-                let delay = backoff_delay(cfg.backoff, i as u32);
-                penalty += t_fail + delay;
-                obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-                emit_failover(obs, spec.id, node, i, penalty, delay);
+                fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
             }
         }
     }
 
-    let reason = if guest_kill.is_some() {
-        "guest_killed"
-    } else if stale_blocked {
-        "stale_replica"
-    } else if revoked_blocked {
-        "revoked_key"
-    } else if migrations > 0 {
-        // The session was checkpointed off a draining or dying node but
-        // no attested, caught-up, policy-admissible peer could take it
-        // within the deadline: region evacuation fails closed.
-        "no_region"
-    } else if deadline_hit {
-        "deadline"
-    } else if unattested_refusals > 0 && !ran_before {
-        // Every replica this session could reach failed the attestation
-        // challenge; it never ran anywhere.
-        "unattested"
-    } else {
-        "attempts_exhausted"
+    // A hard stop names itself. A session that migrated but found no
+    // peer is a failed region evacuation, which outranks a plain
+    // deadline.
+    let reason = match stopped {
+        Some(
+            hard @ (FailReason::GuestKilled | FailReason::StaleReplica | FailReason::RevokedKey),
+        ) => hard,
+        _ if out.migrations > 0 => FailReason::NoRegion,
+        Some(stop) => stop,
+        None if out.unattested_refusals > 0 && !ran_before => FailReason::Unattested,
+        None => FailReason::AttemptsExhausted,
     };
-    obs.metrics.incr("chaos.fail_closed");
-    if obs.trace.is_enabled() {
-        obs.trace.emit_on(
-            spec.id,
-            SimTime::ZERO + penalty,
-            TraceEvent::FailClosed { session: spec.id, reason },
-        );
-    }
-    let mut out = SessionOutcome::failed(spec.id, attempts, penalty);
-    out.fail_closed = true;
-    out.replays = replays;
-    out.deliveries = ledger.unique();
-    out.duplicate_deliveries = ledger.suppressed();
-    out.residue_violations = residue_violations;
-    out.vault_recoveries = vault_totals.recoveries;
-    out.torn_tail_repairs = vault_totals.torn_repairs;
-    out.lost_cors = vault_totals.lost_cors;
-    out.vault_catchup_lsns = catchup_lsns;
-    out.wal_plaintexts = vault_totals.wal_plaintexts;
-    out.wal_device_leaks = vault_totals.wal_device_leaks;
-    out.cross_tenant_residue = vault_totals.cross_tenant_hits;
-    out.unattested_refusals = unattested_refusals;
-    out.tenant_key_rotations = u64::from(rotation_paid);
-    out.guest_kill = guest_kill;
-    out.handoffs = net_handoffs;
-    out.nat_rewrites = net_nat_rewrites;
-    out.nat_rebinds = net_nat_rebinds;
-    out.dns_faults = net_dns_faults;
-    out.route_drops = net_route_drops;
-    out.migrations = migrations;
-    out.evacuations = evacuations;
-    out.migration_residue = migration_residue;
-    if reason == "no_region" {
-        out.no_region = true;
-        obs.metrics.incr("fleet.region.no_region_kills");
-    }
-    out
+    fail_closed(out, reason, penalty, obs)
 }
 
-/// [`crate::run_fleet_obs`] under a chaos plan: validates the plan against
-/// the (post-clamp) pool, precomputes the deterministic breaker schedule,
-/// runs every session through [`execute_with_chaos`], and folds breaker
-/// time-in-state into the per-node report rows.
+/// Drives `cfg.sessions` device sessions across `cfg.workers` threads
+/// against a fresh node pool under `plan`, and returns the aggregated
+/// report. Validates the config's fault plan and `plan` against the
+/// (post-clamp) pool before running anything, builds the
+/// [`FleetSchedule`] once, runs every session through
+/// [`execute_with_chaos`], and folds breaker time-in-state into the
+/// per-node rows.
+///
+/// Scheduler and session events land in `obs.trace`, and the report's
+/// `attempts` / `failovers` are read back from `obs.metrics` (registry
+/// deltas) — the registry is the source of truth the outcomes mirror.
+///
+/// The simulated aggregate ([`FleetReport::simulated_value`]) is
+/// bit-identical for any worker count: every session's result depends
+/// only on its spec, the schedule, and its (deterministic) placement;
+/// outcomes are re-sorted by session id before aggregation, and
+/// wall-clock never enters the simulated fields.
 pub fn run_fleet_chaos(
     cfg: &FleetConfig,
     plan: &ChaosPlan,
     obs: &FleetObs,
 ) -> Result<FleetReport, FleetError> {
-    // `cfg.handoff` layers a standing Wi-Fi ↔ 3G storm (the canned
-    // "handoff" scenario's parameters) on top of whatever the plan
-    // carries, so benches can demand mobility without authoring a plan.
-    let mut plan = plan.clone();
-    if cfg.handoff {
-        plan.events.push(ChaosEvent::HandoffStorm {
-            count: 2,
-            every: SimDuration::from_millis(700),
-            blackout: SimDuration::from_millis(150),
-        });
-    }
-    // `cfg.drain` layers a standing drain of node 0 the same way, so
-    // benches can demand live migration without authoring a plan.
-    if cfg.drain {
-        plan.events.push(ChaosEvent::NodeDrain {
-            node: 0,
-            from_session: 0,
-            until_session: u64::MAX,
-        });
-    }
-    let plan = &plan;
     let specs = build_session_specs(cfg);
     let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &cfg.faults)?;
-    plan.validate(pool.len())?;
+    let schedule = FleetSchedule::build(cfg, &pool, plan, &specs)?;
     surface_clamp(&pool, obs);
-    let schedule = BreakerSchedule::build(plan, pool.len(), cfg.sessions as u64);
-    let guard = GuardSchedule::build(cfg, &pool, plan, &specs);
-    let tenancy = TenantSchedule::build(cfg, pool.len(), plan, &specs);
-    let regions = RegionMap::new(cfg.regions, pool.len())?;
-    let membership = MembershipSchedule::build(plan, pool.len(), regions)?;
     if obs.trace.is_enabled() {
-        for node in 0..pool.len() {
-            for (session, from, to) in schedule.transitions(node) {
-                obs.trace.emit_on(
-                    session,
-                    SimTime::ZERO,
-                    TraceEvent::BreakerTransition {
-                        node: node as u64,
-                        session,
-                        from: from.as_str(),
-                        to: to.as_str(),
-                    },
-                );
-            }
-        }
-        // Membership transitions, replayed on the session-id axis the
-        // same way the breaker's are.
-        if membership.has_events() {
-            for node in 0..pool.len() {
-                let mut prev = MembershipState::Serving;
-                for session in 0..cfg.sessions as u64 {
-                    let state = membership.state_at(node, session);
-                    if state != prev {
-                        obs.trace.emit_on(
-                            session,
-                            SimTime::ZERO,
-                            TraceEvent::MembershipTransition {
-                                node: node as u64,
-                                session,
-                                from: prev.as_str(),
-                                to: state.as_str(),
-                            },
-                        );
-                        prev = state;
-                    }
-                }
-            }
-        }
+        schedule.emit_transitions(pool.len(), cfg.sessions as u64, obs);
     }
+    // Snapshot the registry so report fields are per-run deltas even when
+    // the caller reuses one registry across several fleet runs.
     let attempts_start = obs.metrics.get("fleet.attempts");
     let failovers_start = obs.metrics.get("fleet.failovers");
     let start = Instant::now();
 
-    let mut outcomes = run_worker_pool(cfg.workers, cfg.queue_depth, specs, |spec| {
-        execute_with_chaos(cfg, &pool, &spec, plan, &schedule, &guard, &tenancy, &membership, obs)
+    let mut outcomes = run_worker_pool(cfg.workers, &specs, |spec| {
+        execute_with_chaos(cfg, &pool, spec, &schedule, obs)
     });
 
     let wall_secs = start.elapsed().as_secs_f64();
@@ -979,24 +938,52 @@ pub fn run_fleet_chaos(
     let mut report = FleetReport::aggregate(cfg, &pool, outcomes, wall_secs);
     report.attempts = obs.metrics.get("fleet.attempts") - attempts_start;
     report.failovers = obs.metrics.get("fleet.failovers") - failovers_start;
-    // Region mode (the five extra report keys) switches on only when
-    // something regional actually happened or was asked for — flat runs
-    // keep byte-identical reports.
-    report.region_mode = cfg.regions > 1 || cfg.drain || membership.has_events();
-    for node in 0..pool.len() {
-        let (closed, open, half_open) = schedule.time_in_state(node);
-        let row = &mut report.per_node[node];
-        row.breaker_closed = closed;
-        row.breaker_open = open;
-        row.breaker_half_open = half_open;
+    for (node, row) in report.per_node.iter_mut().enumerate() {
+        (row.breaker_closed, row.breaker_open, row.breaker_half_open) =
+            schedule.breaker.time_in_state(node);
     }
     Ok(report)
+}
+
+/// A fleet run with no injected faults: [`run_fleet_chaos`] under the
+/// empty plan, untraced. Every session is still residue-scanned and
+/// vault-audited.
+pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
+    run_fleet_chaos(cfg, &ChaosPlan::empty(), &FleetObs::default())
+}
+
+/// Surfaces a clamped pool build: stderr warning, `fleet.pool_clamped`
+/// counter, and a `pool_clamp` trace event.
+fn surface_clamp(pool: &NodePool, obs: &FleetObs) {
+    if !pool.was_clamped() {
+        return;
+    }
+    eprintln!(
+        "tinman-fleet: requested {} nodes but the label space only supports {}; \
+         running with {} shards",
+        pool.requested_nodes(),
+        NodePool::max_nodes(),
+        pool.len()
+    );
+    obs.metrics.incr("fleet.pool_clamped");
+    if obs.trace.is_enabled() {
+        obs.trace.emit_on(
+            0,
+            SimTime::ZERO,
+            TraceEvent::PoolClamp {
+                requested: pool.requested_nodes() as u64,
+                effective: pool.len() as u64,
+            },
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FaultPlan;
     use tinman_chaos::ChaosEvent;
+    use tinman_obs::{MetricsRegistry, TraceHandle};
 
     fn chaos_cfg(sessions: usize, nodes: usize) -> FleetConfig {
         let mut cfg = FleetConfig::new(sessions, 2);
@@ -1004,21 +991,131 @@ mod tests {
         cfg
     }
 
+    fn node0_down(sessions: usize, workers: usize) -> FleetConfig {
+        let mut cfg = FleetConfig::new(sessions, workers);
+        cfg.nodes = 2;
+        cfg.faults = FaultPlan { down_nodes: vec![0], slow_nodes: vec![] };
+        cfg
+    }
+
     #[test]
-    fn empty_plan_matches_clean_scheduler_counts() {
-        let cfg = chaos_cfg(6, 2);
-        let plan = ChaosPlan::empty();
-        let chaos = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-        let clean = crate::sched::run_fleet(&cfg).expect("runs");
-        assert_eq!(chaos.ok, clean.ok);
-        assert_eq!(chaos.failed, 0);
-        assert_eq!(chaos.replays, 0);
-        assert_eq!(chaos.fail_closed, 0);
-        assert_eq!(chaos.duplicate_deliveries, 0);
-        assert_eq!(chaos.residue_violations, 0);
-        assert_eq!(chaos.offloads, clean.offloads);
-        assert_eq!(chaos.dsm_syncs, clean.dsm_syncs);
-        assert!(chaos.deliveries > 0, "payload replacements happen and are counted");
+    fn small_fleet_completes_every_session() {
+        let report = run_fleet(&FleetConfig::new(12, 4)).expect("fleet runs");
+        assert_eq!(report.sessions, 12);
+        assert_eq!(report.ok, 12, "all sessions succeed on a healthy pool");
+        assert_eq!(report.failovers, 0);
+        assert!(report.offloads >= 12, "every workload offloads at least once");
+        assert_eq!(report.outcomes.len(), 12);
+        assert!(report.outcomes.windows(2).all(|w| w[0].id < w[1].id), "sorted by id");
+    }
+
+    #[test]
+    fn clean_fleet_carries_audit_evidence() {
+        // The empty plan runs the same residue scans and vault audits as
+        // any chaos plan: the zero leak columns are measured.
+        let report = run_fleet(&chaos_cfg(6, 2)).expect("runs");
+        assert_eq!(report.ok, report.sessions);
+        assert_eq!(report.vault_recoveries, report.sessions, "one audit per attempt");
+        assert_eq!(report.residue_violations, 0);
+        assert_eq!(report.wal_device_leaks, 0);
+        assert_eq!(report.fail_closed, 0);
+        assert_eq!(report.replays, 0);
+        assert_eq!(report.duplicate_deliveries, 0);
+        assert!(report.deliveries > 0, "payload replacements happen and are counted");
+    }
+
+    #[test]
+    fn down_primary_fails_over_to_replica() {
+        let cfg = node0_down(6, 2);
+        let report = run_fleet(&cfg).expect("fleet runs");
+        assert_eq!(report.ok, 6, "replica absorbs the downed node's sessions");
+        let served_by_down = report.outcomes.iter().filter(|o| o.node == Some(0)).count();
+        assert_eq!(served_by_down, 0, "nothing runs on the downed node");
+        assert!(report.failovers > 0, "some primaries were down");
+        // Failed-over sessions carry the simulated backoff penalty.
+        let penalized = report.outcomes.iter().find(|o| o.attempts > 1).expect("a failover");
+        assert!(penalized.latency >= cfg.backoff);
+    }
+
+    #[test]
+    fn rejoining_node_serves_nothing_while_behind() {
+        let cfg = node0_down(6, 2);
+        let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &cfg.faults).unwrap();
+        // While node 0 was down, node 1's vault advanced.
+        pool.set_watermark(1, 9).unwrap();
+        // Node 0 comes back — but behind, so the rejoin gates it.
+        pool.set_health(0, NodeHealth::Healthy).unwrap();
+        assert_eq!(pool.shard(0).health(), NodeHealth::CatchingUp);
+        let specs = build_session_specs(&cfg);
+        let schedule = FleetSchedule::build(&cfg, &pool, &ChaosPlan::empty(), &specs).unwrap();
+        let obs = FleetObs::default();
+        for spec in &specs {
+            let out = execute_with_chaos(&cfg, &pool, spec, &schedule, &obs);
+            assert!(out.success);
+            assert_ne!(out.node, Some(0), "a catching-up node must not serve session {}", out.id);
+        }
+        // After anti-entropy the node serves again.
+        pool.catch_up(0).unwrap();
+        assert_eq!(pool.shard(0).health(), NodeHealth::Healthy);
+        assert!(execute_with_chaos(&cfg, &pool, &specs[0], &schedule, &obs).success);
+    }
+
+    #[test]
+    fn all_nodes_down_reports_failures_not_panics() {
+        let mut cfg = node0_down(3, 2);
+        cfg.faults.down_nodes = vec![0, 1];
+        let report = run_fleet(&cfg).expect("fleet runs");
+        assert_eq!(report.ok, 0);
+        assert_eq!(report.failed, 3);
+        assert!(report.outcomes.iter().all(|o| !o.success && o.node.is_none()));
+    }
+
+    #[test]
+    fn registry_and_outcomes_agree() {
+        let obs = FleetObs::default();
+        let report = run_fleet_chaos(&node0_down(6, 2), &ChaosPlan::empty(), &obs).expect("runs");
+        let attempts: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
+        let failovers: u64 = report.outcomes.iter().map(|o| u64::from(o.attempts) - 1).sum();
+        assert_eq!(report.attempts, attempts, "registry delta == outcome-derived attempts");
+        assert_eq!(report.failovers, failovers, "registry delta == outcome-derived failovers");
+        assert_eq!(report.attempts, obs.metrics.get("fleet.attempts"));
+        assert!(report.failovers > 0, "the downed primary forces failovers");
+    }
+
+    #[test]
+    fn fleet_trace_records_placements_and_failovers() {
+        let (handle, sink) = TraceHandle::ring(4096);
+        let obs = FleetObs { trace: handle, metrics: MetricsRegistry::default() };
+        let report = run_fleet_chaos(&node0_down(4, 1), &ChaosPlan::empty(), &obs).expect("runs");
+        assert_eq!(report.ok, 4);
+        let records = sink.snapshot();
+        let count = |name: &str| records.iter().filter(|r| r.event.name() == name).count() as u64;
+        assert_eq!(count("fleet_placement"), report.ok);
+        assert_eq!(count("fleet_failover"), report.failovers);
+        assert_eq!(count("fleet_backoff"), report.failovers);
+        assert!(
+            records.iter().any(|r| r.event.name() == "offload_trigger"),
+            "session runtime events share the fleet sink"
+        );
+    }
+
+    #[test]
+    fn degraded_node_still_serves_but_slower() {
+        let mut base = FleetConfig::new(4, 2);
+        base.nodes = 1;
+        let healthy = run_fleet(&base).expect("fleet runs");
+
+        let mut slow = base.clone();
+        slow.faults = FaultPlan { down_nodes: vec![], slow_nodes: vec![0] };
+        let degraded = run_fleet(&slow).expect("fleet runs");
+
+        assert_eq!(degraded.ok, 4);
+        assert!(
+            degraded.latency.mean > healthy.latency.mean,
+            "degraded link must cost simulated time: {:?} vs {:?}",
+            degraded.latency.mean,
+            healthy.latency.mean
+        );
     }
 
     #[test]
@@ -1112,7 +1209,7 @@ mod tests {
         let cfg = chaos_cfg(6, 2);
         let plan = ChaosPlan::canned("nat-traversal").expect("canned plan");
         let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-        let clean = run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
+        let clean = run_fleet(&cfg).expect("runs");
         assert_eq!(report.handoffs, 0);
         assert_eq!(report.nat_rewrites, 0);
         assert_eq!(report.nat_rebinds, 0);
@@ -1122,22 +1219,20 @@ mod tests {
     }
 
     #[test]
-    fn handoff_flag_layers_storm_onto_empty_plan() {
+    fn joined_plan_layers_a_handoff_storm_onto_another_plan() {
         let mut cfg = chaos_cfg(4, 2);
         cfg.topology = true;
-        cfg.handoff = true;
-        let report =
-            run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
-        assert!(report.handoffs > 0, "--handoff injects the standing storm");
+        let plan = ChaosPlan::canned("crash-primary+handoff").expect("canned plans join");
+        let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
+        assert!(report.handoffs > 0, "the joined storm fires");
         assert_eq!(report.residue_violations, 0);
+        assert_eq!(report.ok + report.fail_closed, report.sessions);
     }
 
     #[test]
     fn standing_drain_live_migrates_and_stays_clean() {
-        let mut cfg = chaos_cfg(8, 2);
-        cfg.drain = true;
-        let report =
-            run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
+        let plan = ChaosPlan::canned("drain").expect("canned plan");
+        let report = run_fleet_chaos(&chaos_cfg(8, 2), &plan, &FleetObs::default()).expect("runs");
         assert!(report.migrations > 0, "draining node 0 checkpoints in-flight guests");
         assert!(report.evacuations > 0, "a planned drain counts as evacuation");
         assert_eq!(report.migration_residue, 0, "source heaps scrub clean on hand-off");
@@ -1145,23 +1240,6 @@ mod tests {
         assert_eq!(report.lost_cors, 0);
         assert_eq!(report.ok + report.fail_closed, report.sessions);
         assert!(report.ok > 0, "migrated sessions resume and complete on the peer");
-        assert!(report.region_mode, "--drain flips the report into region mode");
-        let value = serde_json::to_string(&report.simulated_value()).unwrap();
-        assert!(value.contains("\"migrations\""), "region block present: {value}");
-    }
-
-    #[test]
-    fn flat_configs_stay_byte_identical_without_membership_events() {
-        // The compatibility clause: regions = 1, no drain, no membership
-        // events → no region keys, and the report is the clean chaos
-        // report byte for byte.
-        let cfg = chaos_cfg(6, 2);
-        let plan = ChaosPlan::canned("crash-primary").expect("canned plan");
-        let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-        assert!(!report.region_mode);
-        assert_eq!(report.migrations, 0);
-        let value = serde_json::to_string(&report.simulated_value()).unwrap();
-        assert!(!value.contains("\"migrations\""), "no region keys on a flat run: {value}");
     }
 
     #[test]

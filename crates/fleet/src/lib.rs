@@ -4,21 +4,24 @@
 //!
 //! The paper evaluates TinMan one device at a time; this crate answers
 //! the deployment question: what does a *node* see when it serves
-//! thousands of devices? It is built from four parts:
+//! thousands of devices? It is built from these parts:
 //!
 //! - [`pool`] — trusted-node shards partitioning the cor label space,
 //!   with consistent-hash placement (a user's cors always land on the
 //!   same node), per-node admission control, and health state.
 //! - [`spec`] — deterministic generation of session specs (workload,
 //!   link, seed) from a single fleet seed.
-//! - [`sched`] — the worker-thread scheduler: bounded-queue fan-out with
-//!   backpressure, retry-with-backoff failover onto replica shards.
+//! - [`chaos_run`] — the fleet executor: [`run_fleet_chaos`] runs every
+//!   session under a `tinman-chaos` fault plan (the empty plan for a
+//!   clean fleet, which is all [`run_fleet`] is) with circuit-breaker
+//!   placement, retry-with-backoff failover onto replica shards,
+//!   checkpoint/replay recovery, exactly-once payload replacement, a
+//!   residue scan and vault audit on every attempt, and checked
+//!   fail-closed degradation.
+//! - [`sched`] — the worker-thread pool the executor fans sessions out
+//!   to, and the [`FleetObs`] trace/metrics wiring.
 //! - [`report`] — the aggregated [`FleetReport`]: throughput, latency
 //!   percentiles, offload totals, per-node utilization, JSON export.
-//! - [`chaos_run`] — the chaos scheduler: runs the fleet under a
-//!   `tinman-chaos` fault plan with circuit-breaker placement,
-//!   checkpoint/replay recovery, exactly-once payload replacement, and
-//!   checked fail-closed degradation.
 //! - [`vault_audit`] — the per-session durability audit: replays each
 //!   session's cor writes through a `tinman-vault` WAL, injects the
 //!   plan's crash, recovers, and byte-compares against the
@@ -62,7 +65,9 @@ pub mod spec;
 pub mod tenancy;
 pub mod vault_audit;
 
-pub use chaos_run::{apply_session_faults, execute_with_chaos, run_fleet_chaos};
+pub use chaos_run::{
+    apply_session_faults, execute_with_chaos, run_fleet, run_fleet_chaos, FleetSchedule,
+};
 pub use failure::{
     backoff_delay, degraded_link, failover_policy, FaultPlan, FaultPlanError, FleetError,
     NodeHealth, MAX_BACKOFF,
@@ -76,12 +81,9 @@ pub use pool::{CapacityPermit, NoSuchNode, NodePool, NodeShard};
 pub use region::RegionMap;
 pub use report::{FleetReport, LatencyStats, NodeReport};
 pub use retry::{migration_policy, BackoffShape, RetryBudget, RetryPolicy};
-pub use sched::{
-    execute_with_failover, execute_with_failover_obs, run_fleet, run_fleet_obs, FleetObs,
-};
+pub use sched::FleetObs;
 pub use session::{
-    build_session_world, build_session_world_net, run_session, run_session_traced, SessionNet,
-    SessionOutcome, SessionWorld,
+    build_session_world, build_session_world_net, SessionNet, SessionOutcome, SessionWorld,
 };
 pub use spec::{build_session_specs, FleetConfig, LinkKind, SessionSpec, WorkloadKind};
 pub use tenancy::{workload_domain, TenantSchedule, TenantSealContext};

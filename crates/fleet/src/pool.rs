@@ -1,7 +1,8 @@
 //! The trusted-node pool: label-space sharding, consistent-hash
 //! placement, per-node admission control, and health tracking.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 use tinman_sim::SplitMix64;
 use tinman_taint::Label;
 
@@ -31,6 +32,13 @@ pub struct NodeShard {
     watermark: Mutex<u64>,
 }
 
+/// Locks `m`, recovering the guard if a panicking thread poisoned it:
+/// every update under these locks is a single assignment, so a poisoned
+/// value is still valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// RAII admission permit: holding one counts against the node's capacity.
 pub struct CapacityPermit<'a> {
     shard: &'a NodeShard,
@@ -38,7 +46,7 @@ pub struct CapacityPermit<'a> {
 
 impl Drop for CapacityPermit<'_> {
     fn drop(&mut self) {
-        let mut inflight = self.shard.inflight.lock();
+        let mut inflight = lock(&self.shard.inflight);
         *inflight -= 1;
         drop(inflight);
         self.shard.admit.notify_one();
@@ -48,27 +56,27 @@ impl Drop for CapacityPermit<'_> {
 impl NodeShard {
     /// Current health.
     pub fn health(&self) -> NodeHealth {
-        *self.health.lock()
+        *lock(&self.health)
     }
 
     /// Sessions currently admitted.
     pub fn inflight(&self) -> usize {
-        *self.inflight.lock()
+        *lock(&self.inflight)
     }
 
     /// Highest vault LSN this node has acknowledged as durable.
     pub fn watermark(&self) -> u64 {
-        *self.watermark.lock()
+        *lock(&self.watermark)
     }
 
     /// Blocks until the node has capacity, then admits the caller.
     /// Admission is wall-clock flow control only; it never changes
     /// simulated results.
     pub fn acquire(&self) -> CapacityPermit<'_> {
-        let mut inflight = self.inflight.lock();
-        while *inflight >= self.capacity {
-            self.admit.wait(&mut inflight);
-        }
+        let mut inflight = self
+            .admit
+            .wait_while(lock(&self.inflight), |n| *n >= self.capacity)
+            .unwrap_or_else(PoisonError::into_inner);
         *inflight += 1;
         CapacityPermit { shard: self }
     }
@@ -234,9 +242,9 @@ impl NodePool {
         // Read the watermarks before taking the health lock: high_water
         // walks every shard's watermark mutex and must not nest inside
         // this shard's own guard.
-        let own = *shard.watermark.lock();
+        let own = *lock(&shard.watermark);
         let behind = own < self.high_water();
-        let mut current = shard.health.lock();
+        let mut current = lock(&shard.health);
         let rejoining = matches!(*current, NodeHealth::Down | NodeHealth::CatchingUp);
         *current =
             if health.can_serve() && rejoining && behind { NodeHealth::CatchingUp } else { health };
@@ -248,7 +256,7 @@ impl NodePool {
     pub fn set_watermark(&self, node: usize, lsn: u64) -> Result<(), NoSuchNode> {
         let shard =
             self.shards.get(node).ok_or(NoSuchNode { node, pool_len: self.shards.len() })?;
-        let mut w = shard.watermark.lock();
+        let mut w = lock(&shard.watermark);
         *w = (*w).max(lsn);
         Ok(())
     }
@@ -256,7 +264,7 @@ impl NodePool {
     /// The pool-wide high-water mark: the highest watermark any shard
     /// has acknowledged. A rejoining node must reach this before serving.
     pub fn high_water(&self) -> u64 {
-        self.shards.iter().map(|s| *s.watermark.lock()).max().unwrap_or(0)
+        self.shards.iter().map(|s| *lock(&s.watermark)).max().unwrap_or(0)
     }
 
     /// Anti-entropy completion for a rejoining node: advances its
@@ -267,11 +275,11 @@ impl NodePool {
         let shard =
             self.shards.get(node).ok_or(NoSuchNode { node, pool_len: self.shards.len() })?;
         let target = self.high_water();
-        let mut w = shard.watermark.lock();
+        let mut w = lock(&shard.watermark);
         let applied = target.saturating_sub(*w);
         *w = target;
         drop(w);
-        let mut health = shard.health.lock();
+        let mut health = lock(&shard.health);
         if *health == NodeHealth::CatchingUp {
             *health = NodeHealth::Healthy;
         }

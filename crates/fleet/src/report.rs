@@ -73,7 +73,7 @@ pub struct NodeReport {
     /// `busy / sim_makespan`: 1.0 for the busiest node.
     pub utilization: f64,
     /// Sessions (on the session-id axis) this node's circuit breaker
-    /// spent Closed. Zero outside chaos runs.
+    /// spent Closed.
     pub breaker_closed: u64,
     /// Sessions the breaker spent Open (placements skipped).
     pub breaker_open: u64,
@@ -97,7 +97,7 @@ pub struct FleetReport {
     pub attempts: u64,
     /// Sessions that failed at least one placement but still completed.
     pub success_after_retry: u64,
-    /// Checkpoint/replay resumptions fleet-wide (chaos runs only).
+    /// Checkpoint/replay resumptions fleet-wide.
     pub replays: u64,
     /// Sessions that degraded to a placeholder-only fail-closed outcome.
     pub fail_closed: u64,
@@ -154,7 +154,7 @@ pub struct FleetReport {
     /// every one a fail-closed refusal, never a leak.
     pub route_drops: u64,
     /// Live migrations fleet-wide: checkpointed hand-offs of in-flight
-    /// guests from draining or dying nodes to peers (region runs only).
+    /// guests from draining or dying nodes to peers.
     pub migrations: u64,
     /// The subset of `migrations` triggered by planned drains.
     pub evacuations: u64,
@@ -167,10 +167,6 @@ pub struct FleetReport {
     /// migration, no attested, caught-up, policy-admissible target
     /// existed inside the deadline.
     pub no_region_kills: u64,
-    /// True when this run used regions or membership events; gates the
-    /// region keys in [`FleetReport::simulated_value`] so flat runs keep
-    /// byte-identical reports. Set by the scheduler, not `aggregate`.
-    pub region_mode: bool,
     /// Guests the guard killed for exhausting a budget. Each kill scrubbed
     /// its node heap and failed the session closed.
     pub guest_kills: u64,
@@ -304,7 +300,6 @@ impl FleetReport {
             region_failovers: sum(|o| o.region_failovers),
             migration_residue: sum(|o| o.migration_residue),
             no_region_kills: outcomes.iter().filter(|o| o.no_region).count() as u64,
-            region_mode: false,
             guest_kills: outcomes.iter().filter(|o| o.guest_kill.is_some()).count() as u64,
             shed_sessions: outcomes.iter().filter(|o| o.shed).count() as u64,
             budget_exhaustions: {
@@ -385,16 +380,11 @@ impl FleetReport {
                     .collect(),
             ),
         );
-        // Region keys only exist in region mode: flat configs must keep
-        // serializing to exactly the pre-region bytes (pinned by the
-        // golden-report tests).
-        if self.region_mode {
-            put("migrations", Value::U64(self.migrations));
-            put("evacuations", Value::U64(self.evacuations));
-            put("region_failovers", Value::U64(self.region_failovers));
-            put("migration_residue", Value::U64(self.migration_residue));
-            put("no_region_kills", Value::U64(self.no_region_kills));
-        }
+        put("migrations", Value::U64(self.migrations));
+        put("evacuations", Value::U64(self.evacuations));
+        put("region_failovers", Value::U64(self.region_failovers));
+        put("migration_residue", Value::U64(self.migration_residue));
+        put("no_region_kills", Value::U64(self.no_region_kills));
         put("offloads", Value::U64(self.offloads));
         put("node_methods", Value::U64(self.node_methods));
         put("client_methods", Value::U64(self.client_methods));
@@ -476,34 +466,8 @@ mod tests {
             energy_uj: 1000,
             tx_bytes: 200,
             rx_bytes: 400,
-            replays: 0,
-            fail_closed: false,
             deliveries: 1,
-            duplicate_deliveries: 0,
-            residue_violations: 0,
-            vault_recoveries: 0,
-            torn_tail_repairs: 0,
-            lost_cors: 0,
-            stale_serves: 0,
-            vault_catchup_lsns: 0,
-            wal_plaintexts: 0,
-            wal_device_leaks: 0,
-            policy_denials: 0,
-            cross_tenant_residue: 0,
-            unattested_refusals: 0,
-            tenant_key_rotations: 0,
-            guest_kill: None,
-            shed: false,
-            handoffs: 0,
-            nat_rewrites: 0,
-            nat_rebinds: 0,
-            dns_faults: 0,
-            route_drops: 0,
-            migrations: 0,
-            evacuations: 0,
-            region_failovers: 0,
-            migration_residue: 0,
-            no_region: false,
+            ..SessionOutcome::default()
         }
     }
 
@@ -515,7 +479,12 @@ mod tests {
             outcome(0, 0, 100),
             outcome(1, 1, 200),
             outcome(2, 0, 300),
-            SessionOutcome::failed(3, 3, SimDuration::from_millis(250)),
+            SessionOutcome {
+                id: 3,
+                attempts: 3,
+                latency: SimDuration::from_millis(250),
+                ..SessionOutcome::default()
+            },
         ];
         let r = FleetReport::aggregate(&cfg, &pool, outcomes, 0.5);
         assert_eq!(r.sessions, 4);
@@ -531,26 +500,6 @@ mod tests {
         assert!((r.per_node[0].utilization - 1.0).abs() < 1e-9);
         assert!((r.per_node[1].utilization - 0.5).abs() < 1e-9);
         assert_eq!(r.wall_throughput, 6.0);
-    }
-
-    #[test]
-    fn region_keys_appear_only_in_region_mode() {
-        let cfg = FleetConfig::new(1, 1);
-        let pool = NodePool::new(1, 1, &FaultPlan::default()).unwrap();
-        let mut r = FleetReport::aggregate(&cfg, &pool, vec![outcome(0, 0, 50)], 0.1);
-        let flat = serde_json::to_string(&r.simulated_value()).unwrap();
-        assert!(!flat.contains("\"migrations\""), "flat reports carry no region keys");
-        r.region_mode = true;
-        let region = serde_json::to_string(&r.simulated_value()).unwrap();
-        for key in [
-            "migrations",
-            "evacuations",
-            "region_failovers",
-            "migration_residue",
-            "no_region_kills",
-        ] {
-            assert!(region.contains(&format!("\"{key}\"")), "region mode carries {key}");
-        }
     }
 
     #[test]

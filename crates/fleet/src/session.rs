@@ -15,7 +15,7 @@ use tinman_apps::browser::build_browser_checkout;
 use tinman_apps::logins::{build_login_app, LoginAppSpec};
 use tinman_apps::servers::{install_auth_server, install_payment_server, AuthServerSpec};
 use tinman_cor::CorStore;
-use tinman_core::runtime::{Mode, RunReport, TinmanConfig, TinmanRuntime};
+use tinman_core::runtime::{RunReport, TinmanConfig, TinmanRuntime};
 use tinman_core::server::HttpsServerApp;
 use tinman_guard::KillReason;
 use tinman_net::{Addr, NetWorld};
@@ -29,8 +29,9 @@ use crate::spec::{LinkKind, SessionSpec, WorkloadKind};
 
 /// What one session contributed to the fleet, all plain data. The
 /// simulated fields depend only on (spec, shard, link) — never on worker
-/// count or wall-clock interleaving.
-#[derive(Clone, Debug)]
+/// count or wall-clock interleaving. The default is an unserved session
+/// with every counter at zero.
+#[derive(Clone, Debug, Default)]
 pub struct SessionOutcome {
     /// The session this outcome belongs to.
     pub id: u64,
@@ -57,8 +58,7 @@ pub struct SessionOutcome {
     pub tx_bytes: u64,
     /// Client radio bytes received.
     pub rx_bytes: u64,
-    /// Checkpoint/replay resumptions after a mid-session crash (chaos
-    /// runs only; always 0 under the clean scheduler).
+    /// Checkpoint/replay resumptions after a mid-session crash.
     pub replays: u32,
     /// True if the session exhausted its retry/deadline budget and
     /// degraded to a placeholder-only failure (never leaked a cor).
@@ -70,8 +70,8 @@ pub struct SessionOutcome {
     /// Cor byte sequences found on a device host by the post-run residue
     /// scan. Must be zero; counted so the invariant is checkable.
     pub residue_violations: u64,
-    /// Vault recoveries the session's durability audits ran (chaos runs
-    /// only: one per attempt).
+    /// Vault recoveries the session's durability audits ran (one per
+    /// attempt that was not guard-killed).
     pub vault_recoveries: u64,
     /// Torn WAL tails those recoveries truncated away.
     pub torn_tail_repairs: u64,
@@ -129,7 +129,7 @@ pub struct SessionOutcome {
     /// source node checkpointed voluntarily at a sync point).
     pub evacuations: u64,
     /// 1 when the session was ultimately served outside its home region
-    /// (region mode only).
+    /// (always 0 on a single-region fleet).
     pub region_failovers: u64,
     /// Cor bytes found on a source node's heap *after* its migration
     /// scrub. Must be zero: a node hands off its guest clean or not at
@@ -142,50 +142,19 @@ pub struct SessionOutcome {
 }
 
 impl SessionOutcome {
-    /// A failed outcome carrying only the accumulated backoff latency.
-    pub fn failed(id: u64, attempts: u32, backoff: SimDuration) -> SessionOutcome {
-        SessionOutcome {
-            id,
-            node: None,
-            attempts,
-            success: false,
-            latency: backoff,
-            offloads: 0,
-            node_methods: 0,
-            client_methods: 0,
-            dsm_syncs: 0,
-            energy_uj: 0,
-            tx_bytes: 0,
-            rx_bytes: 0,
-            replays: 0,
-            fail_closed: false,
-            deliveries: 0,
-            duplicate_deliveries: 0,
-            residue_violations: 0,
-            vault_recoveries: 0,
-            torn_tail_repairs: 0,
-            lost_cors: 0,
-            stale_serves: 0,
-            vault_catchup_lsns: 0,
-            wal_plaintexts: 0,
-            wal_device_leaks: 0,
-            policy_denials: 0,
-            cross_tenant_residue: 0,
-            unattested_refusals: 0,
-            tenant_key_rotations: 0,
-            guest_kill: None,
-            shed: false,
-            handoffs: 0,
-            nat_rewrites: 0,
-            nat_rebinds: 0,
-            dns_faults: 0,
-            route_drops: 0,
-            migrations: 0,
-            evacuations: 0,
-            region_failovers: 0,
-            migration_residue: 0,
-            no_region: false,
-        }
+    /// Marks the session served by `node` with end-to-end `latency`,
+    /// folding in the run report's simulated totals.
+    pub fn serve(&mut self, node: usize, latency: SimDuration, report: &RunReport) {
+        self.node = Some(node);
+        self.success = true;
+        self.latency = latency;
+        self.offloads = report.offloads;
+        self.node_methods = report.node_methods;
+        self.client_methods = report.client_methods;
+        self.dsm_syncs = report.dsm.sync_count;
+        self.energy_uj = report.energy.as_microjoules();
+        self.tx_bytes = report.traffic.tx_bytes;
+        self.rx_bytes = report.traffic.rx_bytes;
     }
 }
 
@@ -292,22 +261,12 @@ fn install_bank_server(
     world.install_server(Addr::new(host, 443), Box::new(app));
 }
 
-/// Runs one session on the shard owning labels `labels`, over `link`.
-/// Returns the runtime's report; the caller folds in placement metadata.
-pub fn run_session(
-    spec: &SessionSpec,
-    labels: (u8, u8),
-    link: LinkProfile,
-) -> Result<RunReport, String> {
-    run_session_traced(spec, labels, link, &TraceHandle::noop())
-}
-
 /// A fully built, not-yet-run session world: the hermetic runtime with
 /// its origin server installed, the workload's app image, and the secret
 /// plaintexts the post-run residue scan must never find on a device host.
 ///
 /// Splitting construction from execution is what makes checkpoint/replay
-/// possible: the chaos executor rebuilds the identical world on a replica
+/// possible: the fleet executor rebuilds the identical world on a replica
 /// (same spec ⇒ same secrets, same server, same app) and re-runs it.
 pub struct SessionWorld {
     /// The hermetic per-session runtime (client, node, servers, clock).
@@ -421,24 +380,6 @@ pub fn build_session_world_net(
     }
 }
 
-/// [`run_session`] with a trace sink: the session's runtime events land
-/// on track `spec.id`, so a fleet trace shows one row per device session.
-/// Tracing never changes the simulated result — the scheduler's
-/// determinism tests run with the no-op handle, and the observability
-/// integration tests compare traced and untraced reports.
-pub fn run_session_traced(
-    spec: &SessionSpec,
-    labels: (u8, u8),
-    link: LinkProfile,
-    trace: &TraceHandle,
-) -> Result<RunReport, String> {
-    let mut world = build_session_world(spec, labels, link, trace)?;
-    let report =
-        world.rt.run_app(&world.app, Mode::TinMan, &session_inputs()).map_err(|e| e.to_string())?;
-    expect_success(&report, world.workload)?;
-    Ok(report)
-}
-
 pub(crate) fn expect_success(report: &RunReport, workload: &str) -> Result<(), String> {
     if report.result == Value::Int(1) {
         Ok(())
@@ -447,65 +388,28 @@ pub(crate) fn expect_success(report: &RunReport, workload: &str) -> Result<(), S
     }
 }
 
-/// Folds a run report plus placement metadata into an outcome row.
-pub fn outcome_from_report(
-    spec: &SessionSpec,
-    node: usize,
-    attempts: u32,
-    backoff: SimDuration,
-    report: &RunReport,
-) -> SessionOutcome {
-    SessionOutcome {
-        id: spec.id,
-        node: Some(node),
-        attempts,
-        success: true,
-        latency: report.latency + backoff,
-        offloads: report.offloads,
-        node_methods: report.node_methods,
-        client_methods: report.client_methods,
-        dsm_syncs: report.dsm.sync_count,
-        energy_uj: report.energy.as_microjoules(),
-        tx_bytes: report.traffic.tx_bytes,
-        rx_bytes: report.traffic.rx_bytes,
-        replays: 0,
-        fail_closed: false,
-        deliveries: 0,
-        duplicate_deliveries: 0,
-        residue_violations: 0,
-        vault_recoveries: 0,
-        torn_tail_repairs: 0,
-        lost_cors: 0,
-        stale_serves: 0,
-        vault_catchup_lsns: 0,
-        wal_plaintexts: 0,
-        wal_device_leaks: 0,
-        policy_denials: 0,
-        cross_tenant_residue: 0,
-        unattested_refusals: 0,
-        tenant_key_rotations: 0,
-        guest_kill: None,
-        shed: false,
-        handoffs: 0,
-        nat_rewrites: 0,
-        nat_rebinds: 0,
-        dns_faults: 0,
-        route_drops: 0,
-        migrations: 0,
-        evacuations: 0,
-        region_failovers: 0,
-        migration_residue: 0,
-        no_region: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{FleetConfig, SessionSpec};
+    use tinman_core::runtime::Mode;
 
     fn spec(id: u64, workload: WorkloadKind) -> SessionSpec {
         SessionSpec { id, workload, link: LinkKind::Wifi, seed: 42 + id, tenant: 0 }
+    }
+
+    fn run_session(
+        spec: &SessionSpec,
+        labels: (u8, u8),
+        link: LinkProfile,
+    ) -> Result<RunReport, String> {
+        let mut world = build_session_world(spec, labels, link, &TraceHandle::noop())?;
+        let report = world
+            .rt
+            .run_app(&world.app, Mode::TinMan, &session_inputs())
+            .map_err(|e| e.to_string())?;
+        expect_success(&report, world.workload)?;
+        Ok(report)
     }
 
     #[test]

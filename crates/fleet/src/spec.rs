@@ -75,9 +75,6 @@ pub struct FleetConfig {
     /// Max sessions one node serves concurrently (admission control;
     /// wall-clock only).
     pub node_capacity: usize,
-    /// Bound of the dispatch queue — producers block when it fills, which
-    /// is the fleet's backpressure.
-    pub queue_depth: usize,
     /// Master seed; every per-session seed derives from it.
     pub seed: u64,
     /// Injected faults (downed nodes, slow links).
@@ -109,20 +106,11 @@ pub struct FleetConfig {
     /// link. Required for the `RouterCrash`/`NatTableFlush`/`DnsOutage`/
     /// `HandoffStorm` chaos families to have any effect.
     pub topology: bool,
-    /// Schedule a standing Wi-Fi ↔ 3G handoff storm in every session
-    /// (two handoffs, the first mid-offload), on top of whatever the
-    /// chaos plan injects. Implies nothing unless `topology` is on.
-    pub handoff: bool,
     /// Number of regions the node pool is split into behind the
     /// deterministic load-balancer front (round-robin by node index).
-    /// 0 or 1 = the flat fleet, byte-identical reports included; ≥ 2
-    /// turns on region-salted placement, region-failover accounting,
-    /// and the region block in the report.
+    /// 0 or 1 = the flat fleet; ≥ 2 turns on region-salted placement
+    /// and region-failover accounting.
     pub regions: u32,
-    /// Layer a standing drain of node 0 (a `NodeDrain` covering every
-    /// session) on top of whatever the chaos plan carries, so benches
-    /// can demand live migration without authoring a plan.
-    pub drain: bool,
 }
 
 impl FleetConfig {
@@ -133,7 +121,6 @@ impl FleetConfig {
             workers: workers.max(1),
             nodes: 4,
             node_capacity: 8,
-            queue_depth: 64,
             seed: 0x7153_1a2b_3c4d_5e6f,
             faults: FaultPlan::default(),
             max_attempts: 3,
@@ -143,9 +130,7 @@ impl FleetConfig {
             tenant_deny: Vec::new(),
             tenant_window: None,
             topology: false,
-            handoff: false,
             regions: 1,
-            drain: false,
         }
     }
 }

@@ -7,10 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use serde_json::Value;
+
+use crate::sink::lock;
 
 struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
@@ -54,8 +55,8 @@ impl fmt::Debug for MetricsRegistry {
         write!(
             f,
             "MetricsRegistry({} counters, {} histograms)",
-            self.inner.counters.lock().len(),
-            self.inner.histograms.lock().len()
+            lock(&self.inner.counters).len(),
+            lock(&self.inner.histograms).len()
         )
     }
 }
@@ -68,7 +69,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name` (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
-        *self.inner.counters.lock().entry(name.to_owned()).or_insert(0) += delta;
+        *lock(&self.inner.counters).entry(name.to_owned()).or_insert(0) += delta;
     }
 
     /// Increments the counter `name` by one.
@@ -78,19 +79,19 @@ impl MetricsRegistry {
 
     /// The counter's current value (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.counters.lock().get(name).copied().unwrap_or(0)
+        lock(&self.inner.counters).get(name).copied().unwrap_or(0)
     }
 
     /// Records one sample into the histogram `name`.
     pub fn observe(&self, name: &str, sample: u64) {
-        self.inner.histograms.lock().entry(name.to_owned()).or_default().push(sample);
+        lock(&self.inner.histograms).entry(name.to_owned()).or_default().push(sample);
     }
 
     /// Summarizes the histogram `name`; `None` if it has no samples.
     /// Samples are sorted first, so the summary is independent of the
     /// order threads recorded them in.
     pub fn histogram_stats(&self, name: &str) -> Option<HistogramStats> {
-        let hists = self.inner.histograms.lock();
+        let hists = lock(&self.inner.histograms);
         let samples = hists.get(name).filter(|s| !s.is_empty())?;
         let mut sorted = samples.clone();
         sorted.sort_unstable();
@@ -109,7 +110,7 @@ impl MetricsRegistry {
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.counters.lock().is_empty() && self.inner.histograms.lock().is_empty()
+        lock(&self.inner.counters).is_empty() && lock(&self.inner.histograms).is_empty()
     }
 
     /// The whole registry as JSON: counters verbatim, histograms
@@ -117,9 +118,9 @@ impl MetricsRegistry {
     /// same contents serialize to identical bytes.
     pub fn snapshot_value(&self) -> Value {
         let counters: Vec<(String, Value)> =
-            self.inner.counters.lock().iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect();
+            lock(&self.inner.counters).iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect();
         let histograms: Vec<(String, Value)> = {
-            let names: Vec<String> = self.inner.histograms.lock().keys().cloned().collect();
+            let names: Vec<String> = lock(&self.inner.histograms).keys().cloned().collect();
             names
                 .into_iter()
                 .filter_map(|name| {

@@ -11,13 +11,19 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use tinman_sim::{SimClock, SimTime};
 
 use crate::event::TraceEvent;
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it:
+/// every update the crate makes under these locks is a single step, so a
+/// poisoned value is still valid.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Chrome-style phase of a record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,29 +100,29 @@ impl RingBufferSink {
 
     /// A copy of the records currently buffered, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.inner.lock().records.iter().cloned().collect()
+        lock(&self.inner).records.iter().cloned().collect()
     }
 
     /// Records currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        lock(&self.inner).records.len()
     }
 
     /// True if nothing has been recorded (or everything was evicted).
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().records.is_empty()
+        lock(&self.inner).records.is_empty()
     }
 
     /// Records evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        lock(&self.inner).dropped
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn record(&self, phase: TracePhase, track: u64, sim_ns: u64, event: TraceEvent) {
         let wall_ns = self.start.elapsed().as_nanos() as u64;
-        let mut ring = self.inner.lock();
+        let mut ring = lock(&self.inner);
         if ring.records.len() == self.capacity {
             ring.records.pop_front();
             ring.dropped += 1;

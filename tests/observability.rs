@@ -6,9 +6,10 @@ use std::collections::HashMap;
 
 use tinman::apps::logins::{build_login_app, LoginAppSpec};
 use tinman::apps::servers::{install_auth_server, AuthServerSpec};
+use tinman::chaos::ChaosPlan;
 use tinman::cor::CorStore;
 use tinman::core::runtime::{Mode, RunReport, TinmanConfig, TinmanRuntime};
-use tinman::fleet::{run_fleet, run_fleet_obs, FaultPlan, FleetConfig, FleetObs};
+use tinman::fleet::{run_fleet, run_fleet_chaos, FaultPlan, FleetConfig, FleetObs};
 use tinman::obs::{chrome_trace_json, TraceHandle, TraceRecord};
 use tinman::sim::{LinkProfile, SimDuration};
 use tinman::vm::Value;
@@ -122,7 +123,7 @@ fn tracing_does_not_perturb_the_fleet_aggregate() {
     let silent = run_fleet(&cfg).expect("fleet runs");
     let (trace, sink) = TraceHandle::ring(1 << 16);
     let obs = FleetObs { trace, ..FleetObs::default() };
-    let traced = run_fleet_obs(&cfg, &obs).expect("fleet runs");
+    let traced = run_fleet_chaos(&cfg, &ChaosPlan::empty(), &obs).expect("fleet runs");
 
     assert!(!sink.snapshot().is_empty());
     assert_eq!(
@@ -134,9 +135,6 @@ fn tracing_does_not_perturb_the_fleet_aggregate() {
 
 #[test]
 fn hostile_run_emits_guard_counters_and_events() {
-    use tinman::chaos::ChaosPlan;
-    use tinman::fleet::run_fleet_chaos;
-
     let mut cfg = FleetConfig::new(8, 2);
     cfg.nodes = 4;
     let plan = ChaosPlan::canned("hostile-guest").expect("canned plan");
@@ -184,9 +182,6 @@ fn hostile_run_emits_guard_counters_and_events() {
 
 #[test]
 fn tracing_does_not_perturb_the_hostile_aggregate() {
-    use tinman::chaos::ChaosPlan;
-    use tinman::fleet::run_fleet_chaos;
-
     let mut cfg = FleetConfig::new(8, 2);
     cfg.nodes = 4;
     let plan = ChaosPlan::canned("hostile-guest").expect("canned plan");
@@ -210,7 +205,7 @@ fn chrome_trace_export_is_valid_json_with_one_track_per_session() {
     cfg.nodes = 2;
     let (trace, sink) = TraceHandle::ring(1 << 16);
     let obs = FleetObs { trace, ..FleetObs::default() };
-    run_fleet_obs(&cfg, &obs).expect("fleet runs");
+    run_fleet_chaos(&cfg, &ChaosPlan::empty(), &obs).expect("fleet runs");
 
     let records = sink.snapshot();
     let json = chrome_trace_json(&records);

