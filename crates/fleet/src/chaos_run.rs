@@ -1,32 +1,35 @@
 //! The fleet executor: runs every session of a fleet under a
 //! [`ChaosPlan`] — the empty plan for a clean fleet — with fail-closed
-//! session recovery. Every session goes through the same pipeline:
+//! session recovery. [`execute_with_chaos`] drives one session through
+//! five stages, each of which can end it fail-closed with a typed reason:
 //!
-//! 1. **Fault arming** — before each attempt the plan is projected onto
-//!    the `(node, session)` pair ([`session_faults`]) and translated into
-//!    the session world's own fault hooks (`NetChaos` on the wire,
-//!    `SyncFault` on the DSM engine). The projection is pure, so worker
-//!    interleaving cannot change what any session experiences.
-//! 2. **Circuit breaking** — placement consults a precomputed
-//!    [`BreakerSchedule`] view instead of raw health flips: an Open
-//!    breaker skips the node (fast failover), a HalfOpen view lets a
-//!    deterministic probe through.
-//! 3. **Checkpoint/replay** — a crashed attempt leaves its last completed
-//!    DSM sync boundary behind as a checkpoint; the replay on a replica
-//!    re-runs the deterministic session and is *credited* the
-//!    checkpointed prefix, so recovered latency reflects resuming, not
-//!    restarting. The per-session [`DeliveryLedger`] keeps TCP payload
-//!    replacement exactly-once toward the origin server across replays.
-//! 4. **Fail-closed enforcement** — a session that exhausts its attempts
-//!    or its deadline budget degrades to a placeholder-only failure, and
-//!    *every* attempt (crashed or not) is residue-scanned so the "no cor
-//!    bytes on a device host" invariant is checked, not assumed.
-//! 5. **Cor-aware durability** — every attempt runs a hermetic
+//! 1. **admit** — guard load shedding (`overloaded`) and the tenant
+//!    declassification policy (`policy_denied`), before any placement.
+//! 2. **gate** — walk the replica order ([`RegionMap::order`]: home region
+//!    first), skipping nodes that are down, breaker-Open (a precomputed
+//!    [`BreakerSchedule`] view; HalfOpen lets a deterministic probe
+//!    through), outside a startable membership state, or unattested.
+//! 3. **prepare** — build the world and arm it: the guard, vault replica
+//!    and rejoin catch-up charged against the deadline (`stale_replica`:
+//!    never served from a stale store), the drain checkpoint, tenant key
+//!    rotation (`revoked_key`), and the plan projected onto the
+//!    `(node, session)` pair ([`session_faults`]) as the world's own fault
+//!    hooks. The projection is pure, so worker interleaving cannot change
+//!    what any session experiences.
+//! 4. **run + audit** — run the guest, then record topology columns,
+//!    exactly-once payload deliveries ([`DeliveryLedger`]), a residue scan
+//!    of the device host on *every* attempt, and a hermetic
 //!    [`crate::vault_audit`] (WAL replay, projected crash, recovery,
-//!    byte-compare), and a lagging vault replica must anti-entropy
-//!    catch up — charged against the deadline — before serving, or the
-//!    session fails closed with reason `"stale_replica"`. A session is
-//!    never served from a stale store.
+//!    byte-compare).
+//! 5. **settle** — serve; or turn the failure into a guard kill
+//!    (`guest_killed`), a live migration to the next admissible peer, or a
+//!    retry credited with the checkpointed DSM prefix, so recovered
+//!    latency reflects resuming, not restarting.
+//!
+//! Running out of deadline or placements fails closed as `deadline`,
+//! `unattested` or `attempts_exhausted` — or `no_region` once the session
+//! has migrated. The device keeps only placeholders; no retry path ever
+//! relaxes that.
 
 use std::time::Instant;
 
@@ -34,25 +37,26 @@ use tinman_chaos::{
     session_faults, BreakerSchedule, BreakerState, ChaosPlan, DeliveryLedger, SessionFaults,
     VaultCrashKind,
 };
-use tinman_core::runtime::{Mode, TinmanRuntime};
+use tinman_core::runtime::{Mode, RunReport, TinmanRuntime};
 use tinman_core::RuntimeError;
 use tinman_dsm::{DsmError, SyncFault};
 use tinman_net::{Handoff, NetChaos};
 use tinman_obs::TraceEvent;
 use tinman_sim::{LinkProfile, SimDuration, SimTime, SplitMix64};
 use tinman_tenant::rotation_cost;
-use tinman_vault::{catch_up_cost, catch_up_within};
+use tinman_vault::catch_up_within;
 
 use crate::failure::{backoff_delay, degraded_link, FleetError, NodeHealth};
 use crate::hostile::{build_hostile_world, fleet_policy, GuardSchedule};
 use crate::membership::{MembershipSchedule, MembershipState};
-use crate::pool::NodePool;
+use crate::pool::{CapacityPermit, NodePool, NodeShard};
 use crate::region::RegionMap;
 use crate::report::FleetReport;
 use crate::retry::{migration_policy, RetryBudget};
 use crate::sched::{run_worker_pool, FleetObs};
 use crate::session::{
     base_link, build_session_world_net, expect_success, session_inputs, SessionNet, SessionOutcome,
+    SessionWorld,
 };
 use crate::spec::{build_session_specs, FleetConfig, SessionSpec};
 use crate::tenancy::TenantSchedule;
@@ -130,52 +134,28 @@ fn emit_fault_events(
     penalty: SimDuration,
     obs: &FleetObs,
 ) {
-    let t = SimTime::ZERO + penalty;
-    let emit = |kind: &'static str| {
-        obs.trace.emit_on(session, t, TraceEvent::ChaosInject { kind, node: node as u64, session });
-    };
-    if faults.crash.is_some() {
-        emit("crash");
-    }
-    if faults.partitioned {
-        emit("partition");
-    }
-    if !faults.sync_windows.is_empty() {
-        emit("sync_timeout");
-    }
-    if faults.loss_pct > 0 {
-        emit("packet_loss");
-    }
-    if faults.corrupt_pct > 0 {
-        emit("packet_corrupt");
-    }
-    if faults.delay > SimDuration::ZERO {
-        emit("packet_delay");
-    }
-    if faults.flap.is_some() {
-        emit("link_flap");
-    }
-    if let Some(kind) = faults.vault_crash {
-        emit(match kind {
+    let armed = [
+        faults.crash.map(|_| "crash"),
+        faults.partitioned.then_some("partition"),
+        (!faults.sync_windows.is_empty()).then_some("sync_timeout"),
+        (faults.loss_pct > 0).then_some("packet_loss"),
+        (faults.corrupt_pct > 0).then_some("packet_corrupt"),
+        (faults.delay > SimDuration::ZERO).then_some("packet_delay"),
+        faults.flap.map(|_| "link_flap"),
+        faults.vault_crash.map(|kind| match kind {
             VaultCrashKind::MidCommit => "vault_mid_commit",
             VaultCrashKind::TornTail => "vault_torn_tail",
             VaultCrashKind::Compaction => "vault_compaction",
-        });
-    }
-    if faults.replica_lag > 0 {
-        emit("replica_lag");
-    }
-    if !faults.router_outages.is_empty() {
-        emit("router_crash");
-    }
-    if !faults.nat_flushes.is_empty() {
-        emit("nat_table_flush");
-    }
-    if !faults.dns_outages.is_empty() {
-        emit("dns_outage");
-    }
-    if !faults.handoffs.is_empty() {
-        emit("handoff_storm");
+        }),
+        (faults.replica_lag > 0).then_some("replica_lag"),
+        (!faults.router_outages.is_empty()).then_some("router_crash"),
+        (!faults.nat_flushes.is_empty()).then_some("nat_table_flush"),
+        (!faults.dns_outages.is_empty()).then_some("dns_outage"),
+        (!faults.handoffs.is_empty()).then_some("handoff_storm"),
+    ];
+    let t = SimTime::ZERO + penalty;
+    for kind in armed.into_iter().flatten() {
+        obs.trace.emit_on(session, t, TraceEvent::ChaosInject { kind, node: node as u64, session });
     }
 }
 
@@ -209,7 +189,7 @@ impl FleetSchedule {
         let regions = RegionMap::new(cfg.regions, pool.len())?;
         Ok(FleetSchedule {
             breaker: BreakerSchedule::build(plan, pool.len(), cfg.sessions as u64),
-            guard: GuardSchedule::build(cfg, pool, plan, specs),
+            guard: GuardSchedule::build(cfg, pool, regions, plan, specs),
             tenancy: TenantSchedule::build(cfg, pool.len(), plan, specs),
             membership: MembershipSchedule::build(plan, pool.len(), regions)?,
             plan: plan.clone(),
@@ -299,93 +279,164 @@ impl FailReason {
     }
 }
 
-/// Closes `out` as a placeholder-only failure after `penalty` of
-/// simulated time, counting and tracing `reason`.
-fn fail_closed(
-    mut out: SessionOutcome,
-    reason: FailReason,
-    penalty: SimDuration,
-    obs: &FleetObs,
-) -> SessionOutcome {
-    obs.metrics.incr("chaos.fail_closed");
-    if obs.trace.is_enabled() {
-        obs.trace.emit_on(
-            out.id,
-            SimTime::ZERO + penalty,
-            TraceEvent::FailClosed { session: out.id, reason: reason.as_str() },
-        );
-    }
-    if reason == FailReason::NoRegion {
-        out.no_region = true;
-        obs.metrics.incr("fleet.region.no_region_kills");
-    }
-    out.fail_closed = true;
-    out.latency = penalty;
-    out
+/// Cor bytes of `world`'s secrets on one surface (the device or the node
+/// heap); `hits` scans for a single secret.
+fn residue(world: &SessionWorld, hits: impl Fn(&TinmanRuntime, &str) -> usize) -> u64 {
+    world.secrets.iter().map(|secret| hits(&world.rt, secret) as u64).sum()
 }
 
-/// Runs one session under the schedule's plan: walk the replica order,
-/// skip nodes whose breaker is Open (or whose static health is Down),
-/// arm the projected faults, run, and on a mid-session failure retry on
-/// the next replica with a checkpoint credit — until success, attempt
-/// exhaustion, or the deadline budget runs out. Exhaustion is a
-/// *fail-closed* outcome: the device keeps only placeholders; no retry
-/// path ever relaxes that.
-///
-/// With tenancy enabled ([`TenantSchedule::enabled`]) three more gates
-/// apply, all deterministic replays: the declassification policy can
-/// refuse the session before any attempt (`policy_denied`), unattested
-/// nodes are skipped in the replica walk, and a mid-session key
-/// rotation charges its re-seal cost against the deadline — a
-/// compromised key that cannot afford the re-seal fails closed with
-/// reason `revoked_key` rather than ever serving under the old epoch.
-///
-/// With a live [`MembershipSchedule`] the walk becomes region-aware:
-/// placement follows [`RegionMap::order`] (home region first), nodes
-/// outside a startable membership state are skipped, a *CatchingUp*
-/// rejoiner charges vault anti-entropy to the acked watermark before
-/// serving, and a *Draining* (or mid-outage dying) node checkpoints the
-/// in-flight guest at a DSM sync point — the checkpoint is
-/// fidelity-checked ([`tinman_core::NodeCheckpoint::restore`]), its
-/// scrub receipt audited, and the session resumes on the next admissible
-/// peer with the checkpoint instant as replay credit. A session that
-/// migrates but finds no admissible target within its deadline fails
-/// closed with reason `no_region`.
-pub fn execute_with_chaos(
-    cfg: &FleetConfig,
-    pool: &NodePool,
-    spec: &SessionSpec,
-    schedule: &FleetSchedule,
-    obs: &FleetObs,
-) -> SessionOutcome {
-    let FleetSchedule { plan, breaker, guard, tenancy, membership } = schedule;
-    let mut out = SessionOutcome { id: spec.id, ..SessionOutcome::default() };
-    // Load shedding: when the guard schedule says this session's budget
-    // reservation does not fit its node, it is shed before any attempt —
-    // a deterministic, breaker-style fail-closed outcome.
-    if guard.shed(spec.id) {
-        let node = pool.place(spec.placement_key());
-        obs.metrics.incr("guard.sheds");
-        if obs.trace.is_enabled() {
+/// A node that passed the gate stage.
+struct Slot<'p> {
+    node: usize,
+    shard: &'p NodeShard,
+    /// The node's membership state at this session id.
+    mstate: MembershipState,
+    /// This is the session the node dies under mid-offload.
+    dying: bool,
+}
+
+/// One placement the prepare stage built and armed, holding its node's
+/// admission permit until the attempt settles.
+struct Attempt<'p> {
+    slot: Slot<'p>,
+    world: SessionWorld,
+    faults: SessionFaults,
+    _permit: CapacityPermit<'p>,
+}
+
+/// One session's walk through its placement order: what it reads, and
+/// the state its stages carry from attempt to attempt.
+struct SessionRun<'a> {
+    cfg: &'a FleetConfig,
+    spec: &'a SessionSpec,
+    schedule: &'a FleetSchedule,
+    obs: &'a FleetObs,
+    out: SessionOutcome,
+    /// Simulated time charged before the serving attempt: backoff,
+    /// catch-up, re-seal, and what failed attempts burned.
+    penalty: SimDuration,
+    /// Session time already covered by completed DSM syncs on a failed
+    /// attempt — the replay resumes from this boundary.
+    credit: SimDuration,
+    ran_before: bool,
+    ledger: DeliveryLedger,
+    /// (source node, wire bytes) of a shipped checkpoint waiting to
+    /// resume on the next admissible peer.
+    pending_migration: Option<(usize, u64)>,
+}
+
+impl SessionRun<'_> {
+    /// The driver: admit, then walk the placement order through gate →
+    /// prepare → run + audit → settle until an attempt serves. Every
+    /// fail-closed reason comes back as the `Err` of the stage that
+    /// decided it.
+    fn drive(&mut self, pool: &NodePool) -> Result<(), FailReason> {
+        // Region-salted placement: home-region nodes first, then foreign
+        // regions in rotation. Identity order on a flat fleet.
+        let order = self.schedule.membership.regions().order(pool, self.spec.placement_key());
+        self.admit(order[0])?;
+        for (i, &node) in order.iter().take(self.cfg.max_attempts as usize).enumerate() {
+            if self.penalty > self.schedule.plan.deadline {
+                return Err(self.or_no_region(FailReason::Deadline));
+            }
+            self.out.attempts += 1;
+            self.obs.metrics.incr("fleet.attempts");
+            if i > 0 {
+                self.obs.metrics.incr("fleet.failovers");
+            }
+            let attempt = match self.gate(pool, node, i) {
+                Some(slot) => self.prepare(slot)?,
+                None => None,
+            };
+            let Some(mut attempt) = attempt else {
+                self.fail_over(node, i, backoff_delay(self.cfg.backoff, i as u32));
+                continue;
+            };
+            let run = self.run_and_audit(&mut attempt);
+            if self.settle(run, &mut attempt, i)? {
+                return Ok(());
+            }
+        }
+        let reason = if self.out.unattested_refusals > 0 && !self.ran_before {
+            FailReason::Unattested
+        } else {
+            FailReason::AttemptsExhausted
+        };
+        Err(self.or_no_region(reason))
+    }
+
+    /// Closes the session as a placeholder-only failure after `penalty`
+    /// of simulated time, counting and tracing `reason`.
+    fn fail_closed(mut self, reason: FailReason) -> SessionOutcome {
+        let (obs, id) = (self.obs, self.spec.id);
+        obs.metrics.incr("chaos.fail_closed");
+        obs.trace.emit_on(
+            id,
+            SimTime::ZERO + self.penalty,
+            TraceEvent::FailClosed { session: id, reason: reason.as_str() },
+        );
+        if reason == FailReason::NoRegion {
+            self.out.no_region = true;
+            obs.metrics.incr("fleet.region.no_region_kills");
+        }
+        self.out.fail_closed = true;
+        self.out.latency = self.penalty;
+        self.out
+    }
+
+    /// A session that migrated but found no peer is a failed region
+    /// evacuation, which outranks a deadline or running out of
+    /// placements. (`guest_killed`, `stale_replica` and `revoked_key`
+    /// outrank it in turn: their stages return them directly.)
+    fn or_no_region(&self, reason: FailReason) -> FailReason {
+        if self.out.migrations > 0 {
+            FailReason::NoRegion
+        } else {
+            reason
+        }
+    }
+
+    /// Charges a skipped or failed placement its backoff `delay` and
+    /// traces the failover.
+    fn fail_over(&mut self, node: usize, i: usize, delay: SimDuration) {
+        self.penalty += delay;
+        self.obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
+        let (session, t, attempt) = (self.spec.id, SimTime::ZERO + self.penalty, i as u32);
+        self.obs.trace.emit_on(
+            session,
+            t,
+            TraceEvent::FleetFailover { session, node: node as u64, attempt },
+        );
+        self.obs.trace.emit_on(
+            session,
+            t,
+            TraceEvent::FleetBackoff { session, attempt, delay_ns: delay.as_nanos() },
+        );
+    }
+
+    /// Admit stage, before any placement. Load shedding: when the guard
+    /// schedule says this session's budget reservation does not fit its
+    /// `first` placement, it is shed. Tenant policy: a session the engine
+    /// refused fails closed, so its cors never leave the device toward
+    /// the denied domain.
+    fn admit(&mut self, first: usize) -> Result<(), FailReason> {
+        let (spec, obs) = (self.spec, self.obs);
+        if self.schedule.guard.shed(spec.id) {
+            obs.metrics.incr("guard.sheds");
             obs.trace.emit_on(
                 spec.id,
                 SimTime::ZERO,
                 TraceEvent::SessionShed {
                     session: spec.id,
-                    node: node as u64,
+                    node: first as u64,
                     reason: FailReason::Overloaded.as_str(),
                 },
             );
+            self.out.shed = true;
+            return Err(FailReason::Overloaded);
         }
-        out.shed = true;
-        return fail_closed(out, FailReason::Overloaded, SimDuration::ZERO, obs);
-    }
-    // Tenant declassification policy: a session the engine refused
-    // fails closed before any placement — its cors never leave the
-    // device toward the denied domain.
-    if let Some(deny_reason) = tenancy.denial(spec.id) {
-        obs.metrics.incr("tenant.policy_denials");
-        if obs.trace.is_enabled() {
+        if let Some(reason) = self.schedule.tenancy.denial(spec.id) {
+            obs.metrics.incr("tenant.policy_denials");
             obs.trace.emit_on(
                 spec.id,
                 SimTime::ZERO,
@@ -393,127 +444,78 @@ pub fn execute_with_chaos(
                     session: spec.id,
                     tenant: spec.tenant,
                     allowed: false,
-                    reason: deny_reason,
+                    reason,
                 },
             );
+            self.out.policy_denials = 1;
+            return Err(FailReason::PolicyDenied);
         }
-        out.policy_denials = 1;
-        return fail_closed(out, FailReason::PolicyDenied, SimDuration::ZERO, obs);
+        Ok(())
     }
-    // Region-salted placement: home-region nodes first, then foreign
-    // regions in rotation. Identity order on a flat fleet.
-    let regions = membership.regions();
-    let order = regions.order(pool, spec.placement_key());
-    let home = regions.home_region(spec.placement_key());
-    let mut penalty = SimDuration::ZERO;
-    let mut ledger = DeliveryLedger::new();
-    // Session time already covered by completed DSM syncs on a failed
-    // attempt — the replay resumes from this boundary.
-    let mut credit = SimDuration::ZERO;
-    let mut ran_before = false;
-    // The plan's key faults for this (tenant, session).
-    let tf = tenancy.faults(spec);
-    // Live-migration state: how many checkpoints have shipped, and the
-    // (source node, wire bytes) of one waiting to resume on the next
-    // admissible peer.
-    let mut migration_idx = 0u64;
-    let mut pending_migration: Option<(usize, u64)> = None;
-    // Charges a skipped or failed placement its backoff `delay` and
-    // traces the failover.
-    let fail_over = |penalty: &mut SimDuration, node: usize, i: usize, delay: SimDuration| {
-        *penalty += delay;
-        obs.metrics.add("fleet.backoff_ns", delay.as_nanos());
-        if obs.trace.is_enabled() {
-            let t = SimTime::ZERO + *penalty;
-            let session = spec.id;
-            obs.trace.emit_on(
-                session,
-                t,
-                TraceEvent::FleetFailover { session, node: node as u64, attempt: i as u32 },
-            );
-            obs.trace.emit_on(
-                session,
-                t,
-                TraceEvent::FleetBackoff { session, attempt: i as u32, delay_ns: delay.as_nanos() },
-            );
-        }
-    };
 
-    // The walk ends in `return` on success; `stopped` names why it ended
-    // early, and running out of placements leaves it `None`.
-    let mut stopped: Option<FailReason> = None;
-    for (i, &node) in order.iter().take(cfg.max_attempts as usize).enumerate() {
-        if penalty > plan.deadline {
-            stopped = Some(FailReason::Deadline);
-            break;
+    /// Gate stage: `None` skips a vanished shard, an Open breaker, a
+    /// `Down` node, a membership state that admits nothing, and (tenancy
+    /// on) a node that cannot attest the full four-class taint engine. A
+    /// node that fell over still runs the session in flight on it
+    /// (`in_flight_death`), which then migrates from its checkpoint.
+    fn gate<'p>(&mut self, pool: &'p NodePool, node: usize, i: usize) -> Option<Slot<'p>> {
+        let FleetSchedule { breaker, tenancy, membership, .. } = self.schedule;
+        let (spec, obs) = (self.spec, self.obs);
+        let shard = pool.try_shard(node).ok()?;
+        if breaker.view(node, spec.id) == BreakerState::Open {
+            obs.metrics.incr("chaos.breaker_skips");
+            return None;
         }
-        out.attempts += 1;
-        obs.metrics.incr("fleet.attempts");
-        if i > 0 {
-            obs.metrics.incr("fleet.failovers");
+        if !shard.health().can_serve() {
+            return None;
         }
-        // A vanished shard (stale order naming a decommissioned index)
-        // is a skipped attempt, never a panic.
-        let Ok(shard) = pool.try_shard(node) else {
-            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
-            continue;
-        };
-        let health = shard.health();
-        let view = breaker.view(node, spec.id);
-        if !health.can_serve() || view == BreakerState::Open {
-            if view == BreakerState::Open {
-                obs.metrics.incr("chaos.breaker_skips");
-            }
-            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
-            continue;
-        }
-        // Membership gate: a node outside a startable state admits
-        // nothing — unless this is the exact session id the node fell
-        // over on (`in_flight_death`): that session is already in flight
-        // when the node dies mid-offload, so it runs, dies at its DSM
-        // sync point, and migrates from its checkpoint.
         let mstate = membership.state_at(node, spec.id);
         let dying = membership.in_flight_death(node, spec.id);
         if !mstate.can_start() && !dying {
             obs.metrics.incr("fleet.region.membership_skips");
-            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
-            continue;
+            return None;
         }
-        // Attestation gate: a node that cannot prove it runs the full
-        // four-class taint engine is refused tenant plaintext placement
-        // — the walk moves on to the next replica.
         if tenancy.enabled() && !tenancy.attested(node) {
-            out.unattested_refusals += 1;
+            self.out.unattested_refusals += 1;
             obs.metrics.incr("tenant.unattested_refusals");
-            let delay = backoff_delay(cfg.backoff, i as u32);
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty + delay,
-                    TraceEvent::AttestationRefused {
-                        session: spec.id,
-                        tenant: spec.tenant,
-                        node: node as u64,
-                    },
-                );
-            }
-            fail_over(&mut penalty, node, i, delay);
-            continue;
+            let at = SimTime::ZERO + self.penalty + backoff_delay(self.cfg.backoff, i as u32);
+            obs.trace.emit_on(
+                spec.id,
+                at,
+                TraceEvent::AttestationRefused {
+                    session: spec.id,
+                    tenant: spec.tenant,
+                    node: node as u64,
+                },
+            );
+            return None;
         }
+        Some(Slot { node, shard, mstate, dying })
+    }
+
+    /// Prepare stage: takes the node's admission permit, builds the
+    /// session world (`Ok(None)` skips a node whose world will not
+    /// build), and arms it — guard, vault and rejoin catch-up, drain,
+    /// key rotation, and the projected faults.
+    fn prepare<'p>(&mut self, slot: Slot<'p>) -> Result<Option<Attempt<'p>>, FailReason> {
+        let (cfg, spec, obs) = (self.cfg, self.spec, self.obs);
+        let FleetSchedule { plan, guard, .. } = self.schedule;
+        let node = slot.node;
         let faults = session_faults(plan, node, spec.id, spec.seed);
         let base = base_link(spec.link);
-        let link = if health == NodeHealth::Degraded { degraded_link(&base) } else { base };
+        let link =
+            if slot.shard.health() == NodeHealth::Degraded { degraded_link(&base) } else { base };
         if obs.trace.is_enabled() {
             obs.trace.emit_on(
                 spec.id,
-                SimTime::ZERO + penalty,
+                SimTime::ZERO + self.penalty,
                 TraceEvent::FleetPlacement { session: spec.id, node: node as u64 },
             );
-            emit_fault_events(&faults, node, spec.id, penalty, obs);
+            emit_fault_events(&faults, node, spec.id, self.penalty, obs);
         }
         // Admission control: wall-clock flow only, no simulated effect.
-        let _permit = shard.acquire();
-        let shard_labels = (shard.label_start, shard.label_end);
+        let permit = slot.shard.acquire();
+        let labels = (slot.shard.label_start, slot.shard.label_end);
         // Routed sessions get bounded re-sync retries: a handoff
         // blackout mid-offload must be survivable, and exhaustion
         // fails closed as a guest kill. Flat sessions surface a sync
@@ -521,88 +523,34 @@ pub fn execute_with_chaos(
         let net =
             SessionNet { topology: cfg.topology, resync_retries: if cfg.topology { 3 } else { 0 } };
         let built = match faults.hostile_guest {
-            Some(kind) => build_hostile_world(spec, kind, shard_labels, link, &obs.trace),
-            None => build_session_world_net(spec, shard_labels, link, &obs.trace, net),
+            Some(kind) => build_hostile_world(spec, kind, labels, link, &obs.trace),
+            None => build_session_world_net(spec, labels, link, &obs.trace, net),
         };
         let Ok(mut world) = built else {
-            fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
-            continue;
+            return Ok(None);
         };
         // On a hostile run every session — benign or not — executes under
         // the guard; hostile worlds arm it themselves.
         if guard.armed() && faults.hostile_guest.is_none() {
             world.rt.set_guard(fleet_policy());
         }
-        // Cor-aware failover: when this node's vault replica lags the
-        // primary, the session's cor writes (one LSN per secret) must be
-        // covered before it is served. Anti-entropy replays the missing
-        // LSNs, charged against the deadline budget; if the budget cannot
-        // absorb the catch-up the session degrades fail-closed — it is
-        // never served from a stale store.
-        if faults.replica_lag > 0 {
-            let needed = world.secrets.len() as u64;
-            let missing = faults.replica_lag.min(needed);
-            if missing > 0 {
-                let cost = catch_up_cost(missing);
-                if penalty + cost > plan.deadline {
-                    obs.metrics.incr("vault.stale_blocked");
-                    stopped = Some(FailReason::StaleReplica);
-                    break;
-                }
-                penalty += cost;
-                out.vault_catchup_lsns += missing;
-                obs.metrics.incr("vault.catch_ups");
-                obs.metrics.add("vault.catchup_lsns", missing);
-                if obs.trace.is_enabled() {
-                    obs.trace.emit_on(
-                        spec.id,
-                        SimTime::ZERO + penalty,
-                        TraceEvent::VaultCatchUp {
-                            session: spec.id,
-                            node: node as u64,
-                            lsns: missing,
-                            cost_ns: cost.as_nanos(),
-                        },
-                    );
-                }
-            }
+        // Cor-aware failover: a lagging vault replica must cover the
+        // session's cor writes (one LSN per secret) before it serves, and
+        // so must a node rejoining after an outage or upgrade — up to the
+        // acked watermark.
+        let lsns = world.secrets.len() as u64;
+        let missing = faults.replica_lag.min(lsns);
+        if missing > 0 {
+            self.catch_up(node, missing, "vault.catch_ups")?;
         }
-        // Membership catch-up: a rejoining node (post-outage or
-        // post-upgrade) must cover this session's cor writes to the
-        // acked watermark before serving — the stale-replica refusal
-        // applied to rejoins. The cost is admitted against the remaining
-        // deadline budget or the session fails closed; a rejoiner is
-        // never served stale.
-        if mstate == MembershipState::CatchingUp {
-            let lsns = world.secrets.len() as u64;
-            let mut budget = RetryBudget::new(plan.deadline.saturating_sub(penalty));
-            let Some(cost) = catch_up_within(lsns, &mut budget) else {
-                obs.metrics.incr("vault.stale_blocked");
-                stopped = Some(FailReason::StaleReplica);
-                break;
-            };
-            penalty += cost;
-            out.vault_catchup_lsns += lsns;
-            obs.metrics.incr("fleet.region.rejoin_catch_ups");
-            obs.metrics.add("vault.catchup_lsns", lsns);
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::VaultCatchUp {
-                        session: spec.id,
-                        node: node as u64,
-                        lsns,
-                        cost_ns: cost.as_nanos(),
-                    },
-                );
-            }
+        if slot.mstate == MembershipState::CatchingUp {
+            self.catch_up(node, lsns, "fleet.region.rejoin_catch_ups")?;
         }
         // A draining node admits the session but checkpoints it at the
         // first DSM sync past a seeded offset (live migration); a node
         // dying mid-outage does the same involuntarily — its "crash"
         // leaves the DSM-checkpointed state behind for the hand-off.
-        if mstate == MembershipState::Draining || dying {
+        if slot.mstate == MembershipState::Draining || slot.dying {
             let dice = SplitMix64::new(
                 plan.seed ^ spec.seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             )
@@ -611,87 +559,119 @@ pub fn execute_with_chaos(
                 + SimDuration::from_nanos(dice % SimDuration::from_millis(400).as_nanos());
             world.rt.set_drain_at(SimTime::ZERO + offset, world.secrets.clone());
         }
-        // Mid-session tenant key rotation: re-sealing this session's
-        // vault bytes under the new epoch costs simulated time,
-        // charged against the deadline like a replica catch-up, and
-        // paid once per session. When the budget cannot absorb the
-        // re-seal the session fails closed — with reason
-        // `revoked_key` if the rotation was forced by a key
-        // compromise (the old epoch is revoked; nothing may be served
-        // under it), plain `deadline` otherwise.
-        if tenancy.enabled() && tf.rotates && out.tenant_key_rotations == 0 {
-            let cost = rotation_cost(world.secrets.len() as u64);
-            if penalty + cost > plan.deadline {
-                stopped = Some(if tf.compromised {
-                    obs.metrics.incr("tenant.revoked_blocked");
-                    FailReason::RevokedKey
-                } else {
-                    FailReason::Deadline
-                });
-                break;
-            }
-            out.tenant_key_rotations = 1;
-            penalty += cost;
-            obs.metrics.incr("tenant.key_rotations");
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::TenantKeyRotation {
-                        session: spec.id,
-                        tenant: spec.tenant,
-                        epoch: u64::from(tf.epoch),
-                        forced: tf.compromised,
-                    },
-                );
-            }
-        }
+        self.rotate_key(lsns)?;
         apply_session_faults(&mut world.rt, &faults);
-        // A checkpoint shipped from a drained/dying source lands here:
-        // this node is the migration target, and the replay below resumes
-        // from the checkpoint instant (the `credit`).
-        if let Some((from_node, bytes)) = pending_migration.take() {
+        Ok(Some(Attempt { slot, world, faults, _permit: permit }))
+    }
+
+    /// Anti-entropy for `lsns` missing records on `node`, charged against
+    /// the remaining deadline and counted under `metric`. When the budget
+    /// cannot absorb it the session fails closed: it is never served from
+    /// a stale store.
+    fn catch_up(&mut self, node: usize, lsns: u64, metric: &str) -> Result<(), FailReason> {
+        let obs = self.obs;
+        let mut budget = RetryBudget::new(self.schedule.plan.deadline.saturating_sub(self.penalty));
+        let Some(cost) = catch_up_within(lsns, &mut budget) else {
+            obs.metrics.incr("vault.stale_blocked");
+            return Err(FailReason::StaleReplica);
+        };
+        self.penalty += cost;
+        self.out.vault_catchup_lsns += lsns;
+        obs.metrics.incr(metric);
+        obs.metrics.add("vault.catchup_lsns", lsns);
+        obs.trace.emit_on(
+            self.spec.id,
+            SimTime::ZERO + self.penalty,
+            TraceEvent::VaultCatchUp {
+                session: self.spec.id,
+                node: node as u64,
+                lsns,
+                cost_ns: cost.as_nanos(),
+            },
+        );
+        Ok(())
+    }
+
+    /// Mid-session tenant key rotation: re-sealing this session's `lsns`
+    /// vault records under the new epoch is charged against the deadline
+    /// and paid once per session. An unaffordable re-seal fails closed —
+    /// `revoked_key` if a key compromise forced the rotation (nothing may
+    /// be served under the revoked epoch), a plain deadline otherwise.
+    fn rotate_key(&mut self, lsns: u64) -> Result<(), FailReason> {
+        let (tf, obs) = (self.schedule.tenancy.faults(self.spec), self.obs);
+        if !self.schedule.tenancy.enabled() || !tf.rotates || self.out.tenant_key_rotations > 0 {
+            return Ok(());
+        }
+        let cost = rotation_cost(lsns);
+        if self.penalty + cost > self.schedule.plan.deadline {
+            if tf.compromised {
+                obs.metrics.incr("tenant.revoked_blocked");
+                return Err(FailReason::RevokedKey);
+            }
+            return Err(self.or_no_region(FailReason::Deadline));
+        }
+        self.out.tenant_key_rotations = 1;
+        self.penalty += cost;
+        obs.metrics.incr("tenant.key_rotations");
+        obs.trace.emit_on(
+            self.spec.id,
+            SimTime::ZERO + self.penalty,
+            TraceEvent::TenantKeyRotation {
+                session: self.spec.id,
+                tenant: self.spec.tenant,
+                epoch: u64::from(tf.epoch),
+                forced: tf.compromised,
+            },
+        );
+        Ok(())
+    }
+
+    /// Run + audit stage: resumes a shipped checkpoint or replays a failed
+    /// attempt, runs the guest, and records what the attempt did —
+    /// including the device residue scan, on *every* attempt.
+    fn run_and_audit(&mut self, attempt: &mut Attempt<'_>) -> Result<RunReport, RuntimeError> {
+        let (spec, obs) = (self.spec, self.obs);
+        let node = attempt.slot.node;
+        let at = SimTime::ZERO + self.penalty;
+        if let Some((from_node, bytes)) = self.pending_migration.take() {
             obs.metrics.incr("fleet.region.migrations_resumed");
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::Migration {
-                        session: spec.id,
-                        from_node: from_node as u64,
-                        to_node: node as u64,
-                        bytes,
-                        resume_ns: credit.as_nanos(),
-                    },
-                );
-            }
+            obs.trace.emit_on(
+                spec.id,
+                at,
+                TraceEvent::Migration {
+                    session: spec.id,
+                    from_node: from_node as u64,
+                    to_node: node as u64,
+                    bytes,
+                    resume_ns: self.credit.as_nanos(),
+                },
+            );
         }
-        if ran_before {
-            out.replays += 1;
+        if self.ran_before {
+            self.out.replays += 1;
             obs.metrics.incr("chaos.replays");
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::SessionReplay {
-                        session: spec.id,
-                        node: node as u64,
-                        attempt: out.attempts,
-                        resume_ns: credit.as_nanos(),
-                    },
-                );
-            }
+            obs.trace.emit_on(
+                spec.id,
+                at,
+                TraceEvent::SessionReplay {
+                    session: spec.id,
+                    node: node as u64,
+                    attempt: self.out.attempts,
+                    resume_ns: self.credit.as_nanos(),
+                },
+            );
         }
-        ran_before = true;
+        self.ran_before = true;
+        let world = &mut attempt.world;
         let run = world.rt.run_app(&world.app, Mode::TinMan, &session_inputs());
         // Topology availability columns: what the wire actually did this
         // attempt (all zero on flat worlds).
         let topo = world.rt.world.topology_stats();
-        out.handoffs += topo.handoffs;
-        out.nat_rewrites += topo.nat_rewrites;
-        out.nat_rebinds += topo.nat_rebinds;
-        out.dns_faults += topo.dns_failures;
-        out.route_drops += topo.route_drops + topo.firewall_drops;
+        self.out.handoffs += topo.handoffs;
+        self.out.nat_rewrites += topo.nat_rewrites;
+        self.out.nat_rebinds += topo.nat_rebinds;
+        self.out.dns_faults += topo.dns_failures;
+        self.out.route_drops += topo.route_drops + topo.firewall_drops;
         if world.rt.world.topology_enabled() {
             obs.metrics.add("net.handoff.count", topo.handoffs);
             obs.metrics.add("net.topology.nat_rewrites", topo.nat_rewrites);
@@ -701,101 +681,117 @@ pub fn execute_with_chaos(
         // Exactly-once accounting: the k-th payload replacement of a
         // deterministic session is byte-identical on every replay, so the
         // origin's (session, seq) dedup reduces to prefix bookkeeping.
-        let (_, suppressed) = ledger.record_attempt(world.rt.world.injected_count());
-        out.deliveries = ledger.unique();
-        out.duplicate_deliveries = ledger.suppressed();
+        let (_, suppressed) = self.ledger.record_attempt(world.rt.world.injected_count());
+        self.out.deliveries = self.ledger.unique();
+        self.out.duplicate_deliveries = self.ledger.suppressed();
         if suppressed > 0 {
             obs.metrics.add("chaos.dedup_suppressed", suppressed);
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::DeliveryDedup { session: spec.id, duplicates: suppressed },
-                );
-            }
+            obs.trace.emit_on(
+                spec.id,
+                at,
+                TraceEvent::DeliveryDedup { session: spec.id, duplicates: suppressed },
+            );
         }
-        // The invariant is checked on *every* attempt: a crash mid-run
-        // must not have left cor plaintext anywhere on the device host.
-        for secret in &world.secrets {
-            let hits = world.rt.scan_residue(secret).len() as u64;
-            if hits > 0 {
-                out.residue_violations += hits;
-                obs.metrics.add("chaos.residue_violations", hits);
-            }
-        }
-        // Durability audit on every attempt that was not guard-killed:
-        // replay the node's cor writes through a real WAL, inject the
-        // projected crash, recover, and byte-compare against the
-        // committed-prefix reference. A killed guest's fail-closed
-        // teardown discards its cor writes along with its scrubbed heap —
-        // nothing durable may survive the kill, so there is nothing to
-        // audit (and `wal_plaintexts` stays zero for killed sessions).
+        self.count_residue(residue(world, |rt, secret| rt.scan_residue(secret).len()));
+        // A killed guest's teardown discards its cor writes with its
+        // scrubbed heap: nothing durable survives the kill to audit.
         if !matches!(&run, Err(RuntimeError::GuestKilled { .. })) {
-            // With tenancy on, the audit runs sealed: the log carries
-            // ciphertext under the owning tenant's current-epoch WAL
-            // key, and the foreign keyring doubles as the cross-tenant
-            // residue probe.
-            let audit = if tenancy.enabled() {
-                let seal = tenancy.seal_context(spec, tf.epoch);
-                audit_session_vault_sealed(
-                    &world.rt,
-                    &world.secrets,
-                    faults.vault_crash,
-                    faults.dice_seed,
-                    &seal,
-                )
-            } else {
-                audit_session_vault(&world.rt, &world.secrets, faults.vault_crash, faults.dice_seed)
-            };
-            out.vault_recoveries += audit.recoveries;
-            out.torn_tail_repairs += audit.torn_repairs;
-            out.lost_cors += audit.lost_cors;
-            out.wal_plaintexts += audit.wal_plaintexts;
-            out.wal_device_leaks += audit.wal_device_leaks;
-            out.cross_tenant_residue += audit.cross_tenant_hits;
-            obs.metrics.add("tenant.cross_tenant_residue", audit.cross_tenant_hits);
-            obs.metrics.add("vault.recoveries", audit.recoveries);
-            obs.metrics.add("vault.torn_repairs", audit.torn_repairs);
-            obs.metrics.add("vault.lost_cors", audit.lost_cors);
-            obs.metrics.add("vault.appends", audit.appends);
-            obs.metrics.add("vault.fsyncs", audit.fsyncs);
-            obs.metrics.add("vault.wal_device_leaks", audit.wal_device_leaks);
-            if obs.trace.is_enabled() {
-                obs.trace.emit_on(
-                    spec.id,
-                    SimTime::ZERO + penalty,
-                    TraceEvent::VaultRecovery {
-                        session: spec.id,
-                        node: node as u64,
-                        applied_lsn: audit.applied_lsn,
-                        torn_repaired: audit.torn_repairs > 0,
-                        duplicates: audit.duplicates,
-                    },
-                );
-            }
+            self.audit_vault(attempt);
         }
+        run
+    }
+
+    /// Counts cor bytes found where they must never be.
+    fn count_residue(&mut self, hits: u64) {
+        if hits > 0 {
+            self.out.residue_violations += hits;
+            self.obs.metrics.add("chaos.residue_violations", hits);
+        }
+    }
+
+    /// Durability audit: replay the node's cor writes through a real WAL,
+    /// inject the projected crash, recover, and byte-compare against the
+    /// committed-prefix reference. With tenancy on the log is sealed
+    /// under the owning tenant's current-epoch WAL key, and the foreign
+    /// keyring doubles as the cross-tenant residue probe.
+    fn audit_vault(&mut self, attempt: &Attempt<'_>) {
+        let (spec, obs, tenancy) = (self.spec, self.obs, &self.schedule.tenancy);
+        let Attempt { world, faults, .. } = attempt;
+        let audit = if tenancy.enabled() {
+            let seal = tenancy.seal_context(spec, tenancy.faults(spec).epoch);
+            audit_session_vault_sealed(
+                &world.rt,
+                &world.secrets,
+                faults.vault_crash,
+                faults.dice_seed,
+                &seal,
+            )
+        } else {
+            audit_session_vault(&world.rt, &world.secrets, faults.vault_crash, faults.dice_seed)
+        };
+        self.out.vault_recoveries += audit.recoveries;
+        self.out.torn_tail_repairs += audit.torn_repairs;
+        self.out.lost_cors += audit.lost_cors;
+        self.out.wal_plaintexts += audit.wal_plaintexts;
+        self.out.wal_device_leaks += audit.wal_device_leaks;
+        self.out.cross_tenant_residue += audit.cross_tenant_hits;
+        obs.metrics.add("tenant.cross_tenant_residue", audit.cross_tenant_hits);
+        obs.metrics.add("vault.recoveries", audit.recoveries);
+        obs.metrics.add("vault.torn_repairs", audit.torn_repairs);
+        obs.metrics.add("vault.lost_cors", audit.lost_cors);
+        obs.metrics.add("vault.appends", audit.appends);
+        obs.metrics.add("vault.fsyncs", audit.fsyncs);
+        obs.metrics.add("vault.wal_device_leaks", audit.wal_device_leaks);
+        obs.trace.emit_on(
+            spec.id,
+            SimTime::ZERO + self.penalty,
+            TraceEvent::VaultRecovery {
+                session: spec.id,
+                node: attempt.slot.node as u64,
+                applied_lsn: audit.applied_lsn,
+                torn_repaired: audit.torn_repairs > 0,
+                duplicates: audit.duplicates,
+            },
+        );
+    }
+
+    /// Settle stage: serves a completed attempt (`Ok(true)`), or turns a
+    /// failed one into a guard kill, a live migration, or a retry on the
+    /// next replica (`Ok(false)`).
+    fn settle(
+        &mut self,
+        run: Result<RunReport, RuntimeError>,
+        attempt: &mut Attempt<'_>,
+        i: usize,
+    ) -> Result<bool, FailReason> {
+        let (spec, obs) = (self.spec, self.obs);
+        let (node, world) = (attempt.slot.node, &attempt.world);
         match run {
             Ok(report) if expect_success(&report, world.workload).is_ok() => {
                 // The replay re-simulated the checkpointed prefix; credit
                 // it back so latency reflects resume-from-checkpoint.
-                let effective = penalty + (report.latency - credit);
+                let effective = self.penalty + (report.latency - self.credit);
                 obs.metrics.observe("fleet.session_latency_ns", effective.as_nanos());
-                if out.attempts > 1 {
+                if self.out.attempts > 1 {
                     obs.metrics.incr("chaos.success_after_retry");
                 }
-                out.serve(node, effective, &report);
+                self.out.serve(node, effective, &report);
                 // Served outside the home region: a region failover.
-                if !regions.flat() && regions.region_of(node) != home {
-                    out.region_failovers = 1;
+                let regions = self.schedule.membership.regions();
+                if !regions.flat()
+                    && regions.region_of(node) != regions.home_region(spec.placement_key())
+                {
+                    self.out.region_failovers = 1;
                     obs.metrics.incr("fleet.region.failovers");
                 }
-                return out;
+                return Ok(true);
             }
             Err(RuntimeError::GuestKilled { reason }) => {
                 // A guard kill is deterministic: replaying the same guest
-                // on a replica dies the same way, so the kill is terminal
-                // and the session fails closed immediately.
-                out.guest_kill = Some(reason);
+                // on a replica dies the same way, so the kill is terminal.
+                // The watchdog scrubbed the node heap before returning;
+                // verify, counting any surviving cor bytes as violations.
+                self.out.guest_kill = Some(reason);
                 obs.metrics.incr("guard.kills");
                 obs.metrics.incr(match reason.column() {
                     "fuel" => "guard.fuel_exhausted",
@@ -804,94 +800,94 @@ pub fn execute_with_chaos(
                     "dsm" => "guard.dsm_exhausted",
                     _ => "guard.deadline_exhausted",
                 });
-                // The watchdog scrubbed the node heap before returning;
-                // verify, counting any surviving cor bytes as violations.
-                for secret in &world.secrets {
-                    let hits = world.rt.scan_node_residue(secret).len() as u64;
-                    if hits > 0 {
-                        out.residue_violations += hits;
-                        obs.metrics.add("chaos.residue_violations", hits);
-                    }
-                }
-                penalty += world.rt.clock().now().since(SimTime::ZERO);
-                stopped = Some(FailReason::GuestKilled);
-                break;
+                self.count_residue(residue(world, |rt, secret| rt.scan_node_residue(secret).len()));
+                self.penalty += world.rt.clock().now().since(SimTime::ZERO);
+                return Err(FailReason::GuestKilled);
             }
-            Err(RuntimeError::NodeDraining { .. }) => {
-                // Live migration: the node checkpointed the guest at its
-                // DSM sync point and scrubbed its own heap. Audit the
-                // scrub receipt and re-scan the node surface (residue is
-                // a reportable violation, never assumed zero), prove the
-                // serialized state is faithful by round-tripping it, and
-                // carry the checkpoint instant as the replay credit for
-                // the next admissible peer.
-                out.migrations += 1;
-                obs.metrics.incr("fleet.region.migrations");
-                if mstate == MembershipState::Draining {
-                    out.evacuations += 1;
-                    obs.metrics.incr("fleet.region.evacuations");
-                }
-                let t_fail = world.rt.clock().now().since(SimTime::ZERO);
-                if let Some(cp) = world.rt.take_node_checkpoint() {
-                    let mut hits = cp.scrub.residue;
-                    for secret in &world.secrets {
-                        hits += world.rt.scan_node_residue(secret).len() as u64;
-                    }
-                    if hits > 0 {
-                        out.migration_residue += hits;
-                        obs.metrics.add("fleet.region.migration_residue", hits);
-                    }
-                    match cp.restore() {
-                        Ok(_) => {
-                            credit = credit.max(cp.taken_at().since(SimTime::ZERO));
-                            pending_migration = Some((node, cp.wire_bytes()));
-                        }
-                        Err(_) => {
-                            // An unfaithful checkpoint is abandoned: the
-                            // replay restarts from scratch, never resumes
-                            // from guesswork.
-                            obs.metrics.incr("fleet.region.checkpoint_corrupt");
-                        }
-                    }
-                }
-                // Shipping the checkpoint pays the unified migration
-                // backoff (seeded jitter over the failover curve),
-                // charged against the same penalty deadline as every
-                // other retry.
-                let delay = migration_policy(cfg.backoff, plan.seed ^ spec.seed.rotate_left(23))
-                    .delay(migration_idx);
-                migration_idx += 1;
-                penalty += t_fail;
-                fail_over(&mut penalty, node, i, delay);
-            }
+            Err(RuntimeError::NodeDraining { .. }) => self.migrate(attempt, i),
             other => {
                 if matches!(&other, Err(RuntimeError::Dsm(DsmError::SyncTimeout { .. }))) {
                     obs.metrics.incr("chaos.crashes");
                 }
                 // Where the attempt died on its own timeline: that much
                 // simulated time was genuinely burned.
-                penalty += world.rt.clock().now().since(SimTime::ZERO);
+                self.penalty += world.rt.clock().now().since(SimTime::ZERO);
                 if let Some(cp) = world.rt.dsm_checkpoint() {
-                    credit = credit.max(cp.since(SimTime::ZERO));
+                    self.credit = self.credit.max(cp.since(SimTime::ZERO));
                 }
-                fail_over(&mut penalty, node, i, backoff_delay(cfg.backoff, i as u32));
+                self.fail_over(node, i, backoff_delay(self.cfg.backoff, i as u32));
             }
         }
+        Ok(false)
     }
 
-    // A hard stop names itself. A session that migrated but found no
-    // peer is a failed region evacuation, which outranks a plain
-    // deadline.
-    let reason = match stopped {
-        Some(
-            hard @ (FailReason::GuestKilled | FailReason::StaleReplica | FailReason::RevokedKey),
-        ) => hard,
-        _ if out.migrations > 0 => FailReason::NoRegion,
-        Some(stop) => stop,
-        None if out.unattested_refusals > 0 && !ran_before => FailReason::Unattested,
-        None => FailReason::AttemptsExhausted,
+    /// Live migration: the node checkpointed the guest at a DSM sync point
+    /// and scrubbed its heap. Audit the scrub receipt and re-scan the node
+    /// (residue is counted, never assumed zero), prove the checkpoint
+    /// faithful by round-tripping it, and carry its instant as the replay
+    /// credit for the next admissible peer. Shipping it pays the seeded
+    /// migration backoff against the same deadline as every retry.
+    fn migrate(&mut self, attempt: &mut Attempt<'_>, i: usize) {
+        let (cfg, spec, obs) = (self.cfg, self.spec, self.obs);
+        let (node, world) = (attempt.slot.node, &mut attempt.world);
+        self.out.migrations += 1;
+        obs.metrics.incr("fleet.region.migrations");
+        if attempt.slot.mstate == MembershipState::Draining {
+            self.out.evacuations += 1;
+            obs.metrics.incr("fleet.region.evacuations");
+        }
+        if let Some(cp) = world.rt.take_node_checkpoint() {
+            let hits =
+                cp.scrub.residue + residue(world, |rt, secret| rt.scan_node_residue(secret).len());
+            if hits > 0 {
+                self.out.migration_residue += hits;
+                obs.metrics.add("fleet.region.migration_residue", hits);
+            }
+            match cp.restore() {
+                Ok(_) => {
+                    self.credit = self.credit.max(cp.taken_at().since(SimTime::ZERO));
+                    self.pending_migration = Some((node, cp.wire_bytes()));
+                }
+                // An unfaithful checkpoint is abandoned: the replay
+                // restarts from scratch, never resumes from guesswork.
+                Err(_) => obs.metrics.incr("fleet.region.checkpoint_corrupt"),
+            }
+        }
+        self.penalty += world.rt.clock().now().since(SimTime::ZERO);
+        let delay =
+            migration_policy(cfg.backoff, self.schedule.plan.seed ^ spec.seed.rotate_left(23))
+                .delay(self.out.migrations - 1);
+        self.fail_over(node, i, delay);
+    }
+}
+
+/// Runs one session under the schedule's plan through the admit → gate →
+/// prepare → run + audit → settle stages described in the
+/// [module docs](self), and returns its outcome: served, or failed closed
+/// with the reason the deciding stage returned.
+pub fn execute_with_chaos(
+    cfg: &FleetConfig,
+    pool: &NodePool,
+    spec: &SessionSpec,
+    schedule: &FleetSchedule,
+    obs: &FleetObs,
+) -> SessionOutcome {
+    let mut session = SessionRun {
+        cfg,
+        spec,
+        schedule,
+        obs,
+        out: SessionOutcome { id: spec.id, ..SessionOutcome::default() },
+        penalty: SimDuration::ZERO,
+        credit: SimDuration::ZERO,
+        ran_before: false,
+        ledger: DeliveryLedger::new(),
+        pending_migration: None,
     };
-    fail_closed(out, reason, penalty, obs)
+    match session.drive(pool) {
+        Ok(()) => session.out,
+        Err(reason) => session.fail_closed(reason),
+    }
 }
 
 /// Drives `cfg.sessions` device sessions across `cfg.workers` threads
@@ -900,11 +896,8 @@ pub fn execute_with_chaos(
 /// (post-clamp) pool before running anything, builds the
 /// [`FleetSchedule`] once, runs every session through
 /// [`execute_with_chaos`], and folds breaker time-in-state into the
-/// per-node rows.
-///
-/// Scheduler and session events land in `obs.trace`, and the report's
-/// `attempts` / `failovers` are read back from `obs.metrics` (registry
-/// deltas) — the registry is the source of truth the outcomes mirror.
+/// per-node rows. Scheduler and session events land in `obs.trace`,
+/// counters in `obs.metrics`.
 ///
 /// The simulated aggregate ([`FleetReport::simulated_value`]) is
 /// bit-identical for any worker count: every session's result depends
@@ -923,10 +916,6 @@ pub fn run_fleet_chaos(
     if obs.trace.is_enabled() {
         schedule.emit_transitions(pool.len(), cfg.sessions as u64, obs);
     }
-    // Snapshot the registry so report fields are per-run deltas even when
-    // the caller reuses one registry across several fleet runs.
-    let attempts_start = obs.metrics.get("fleet.attempts");
-    let failovers_start = obs.metrics.get("fleet.failovers");
     let start = Instant::now();
 
     let mut outcomes = run_worker_pool(cfg.workers, &specs, |spec| {
@@ -936,8 +925,6 @@ pub fn run_fleet_chaos(
     let wall_secs = start.elapsed().as_secs_f64();
     outcomes.sort_by_key(|o| o.id);
     let mut report = FleetReport::aggregate(cfg, &pool, outcomes, wall_secs);
-    report.attempts = obs.metrics.get("fleet.attempts") - attempts_start;
-    report.failovers = obs.metrics.get("fleet.failovers") - failovers_start;
     for (node, row) in report.per_node.iter_mut().enumerate() {
         (row.breaker_closed, row.breaker_open, row.breaker_half_open) =
             schedule.breaker.time_in_state(node);
@@ -966,16 +953,14 @@ fn surface_clamp(pool: &NodePool, obs: &FleetObs) {
         pool.len()
     );
     obs.metrics.incr("fleet.pool_clamped");
-    if obs.trace.is_enabled() {
-        obs.trace.emit_on(
-            0,
-            SimTime::ZERO,
-            TraceEvent::PoolClamp {
-                requested: pool.requested_nodes() as u64,
-                effective: pool.len() as u64,
-            },
-        );
-    }
+    obs.trace.emit_on(
+        0,
+        SimTime::ZERO,
+        TraceEvent::PoolClamp {
+            requested: pool.requested_nodes() as u64,
+            effective: pool.len() as u64,
+        },
+    );
 }
 
 #[cfg(test)]
@@ -1035,29 +1020,6 @@ mod tests {
         // Failed-over sessions carry the simulated backoff penalty.
         let penalized = report.outcomes.iter().find(|o| o.attempts > 1).expect("a failover");
         assert!(penalized.latency >= cfg.backoff);
-    }
-
-    #[test]
-    fn rejoining_node_serves_nothing_while_behind() {
-        let cfg = node0_down(6, 2);
-        let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &cfg.faults).unwrap();
-        // While node 0 was down, node 1's vault advanced.
-        pool.set_watermark(1, 9).unwrap();
-        // Node 0 comes back — but behind, so the rejoin gates it.
-        pool.set_health(0, NodeHealth::Healthy).unwrap();
-        assert_eq!(pool.shard(0).health(), NodeHealth::CatchingUp);
-        let specs = build_session_specs(&cfg);
-        let schedule = FleetSchedule::build(&cfg, &pool, &ChaosPlan::empty(), &specs).unwrap();
-        let obs = FleetObs::default();
-        for spec in &specs {
-            let out = execute_with_chaos(&cfg, &pool, spec, &schedule, &obs);
-            assert!(out.success);
-            assert_ne!(out.node, Some(0), "a catching-up node must not serve session {}", out.id);
-        }
-        // After anti-entropy the node serves again.
-        pool.catch_up(0).unwrap();
-        assert_eq!(pool.shard(0).health(), NodeHealth::Healthy);
-        assert!(execute_with_chaos(&cfg, &pool, &specs[0], &schedule, &obs).success);
     }
 
     #[test]

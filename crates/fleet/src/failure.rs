@@ -1,4 +1,4 @@
-//! Failure model: per-node health, fault-injection hooks, and the
+//! Failure model: static per-node health, the fault plan, and the
 //! deterministic retry/backoff schedule.
 
 use tinman_sim::{LinkProfile, RetryPolicy, SimDuration};
@@ -13,10 +13,6 @@ pub enum NodeHealth {
     Degraded,
     /// Not serving; sessions placed here fail over to a replica.
     Down,
-    /// Rejoining after `Down` but its vault watermark is still behind the
-    /// pool's high-water mark: not serving until anti-entropy catches it
-    /// up. Serving now could hand a session a stale cor store.
-    CatchingUp,
 }
 
 impl NodeHealth {
@@ -26,20 +22,19 @@ impl NodeHealth {
             NodeHealth::Healthy => "healthy",
             NodeHealth::Degraded => "degraded",
             NodeHealth::Down => "down",
-            NodeHealth::CatchingUp => "catching_up",
         }
     }
 
-    /// True if the scheduler may place a session here. `Down` nodes are
-    /// gone; `CatchingUp` nodes are alive but would serve from a cor
-    /// store that is provably behind — both fail over to a replica.
+    /// True if the scheduler may place a session here. Sessions placed
+    /// on a `Down` node fail over to a replica.
     pub fn can_serve(self) -> bool {
-        matches!(self, NodeHealth::Healthy | NodeHealth::Degraded)
+        self != NodeHealth::Down
     }
 }
 
-/// Static fault injection applied when the pool is built. Dynamic
-/// injection mid-run goes through [`crate::pool::NodePool::set_health`].
+/// Static fault injection applied when the pool is built. Faults that
+/// change during a run come from the chaos plan (breaker and membership
+/// schedules).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Nodes that refuse every session (tested by the failover path).
@@ -49,21 +44,11 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// True if `node` starts the run down.
-    pub fn is_down(&self, node: usize) -> bool {
-        self.down_nodes.contains(&node)
-    }
-
-    /// True if `node` starts the run behind a slow link.
-    pub fn is_slow(&self, node: usize) -> bool {
-        self.slow_nodes.contains(&node)
-    }
-
     /// The health a node starts with under this plan.
     pub fn initial_health(&self, node: usize) -> NodeHealth {
-        if self.is_down(node) {
+        if self.down_nodes.contains(&node) {
             NodeHealth::Down
-        } else if self.is_slow(node) {
+        } else if self.slow_nodes.contains(&node) {
             NodeHealth::Degraded
         } else {
             NodeHealth::Healthy
@@ -180,12 +165,6 @@ impl From<tinman_chaos::ChaosPlanError> for FleetError {
     }
 }
 
-impl From<crate::pool::NoSuchNode> for FleetError {
-    fn from(e: crate::pool::NoSuchNode) -> Self {
-        FleetError::NoSuchNode(e)
-    }
-}
-
 /// Hard ceiling on any single retry delay. Exponential backoff with only
 /// a shift clamp still reaches `base * 65536` — for the default 250ms base
 /// that is over four simulated hours charged to one session's latency.
@@ -253,8 +232,6 @@ mod tests {
         assert!(NodeHealth::Healthy.can_serve());
         assert!(NodeHealth::Degraded.can_serve());
         assert!(!NodeHealth::Down.can_serve());
-        assert!(!NodeHealth::CatchingUp.can_serve(), "a stale store must not serve");
-        assert_eq!(NodeHealth::CatchingUp.as_str(), "catching_up");
     }
 
     #[test]

@@ -29,6 +29,7 @@ use tinman_sim::LinkProfile;
 use tinman_vm::{AppImage, Insn, ProgramBuilder};
 
 use crate::pool::NodePool;
+use crate::region::RegionMap;
 use crate::session::{session_runtime, session_store, SessionNet, SessionWorld};
 use crate::spec::{FleetConfig, SessionSpec};
 
@@ -224,16 +225,18 @@ pub struct GuardSchedule {
 }
 
 impl GuardSchedule {
-    /// Replays placements in session-id order: each session asks the node
-    /// it would be placed on for a (fuel, heap-bytes) reservation — the
-    /// full policy ceiling for a hostile guest, the nominal fraction for
-    /// a well-behaved one — against a sliding window of the node's last
+    /// Replays placements in session-id order: each session asks its first
+    /// placement ([`RegionMap::order`]'s head — the ring primary on a flat
+    /// fleet) for a (fuel, heap-bytes) reservation — the full policy
+    /// ceiling for a hostile guest, the nominal fraction for a
+    /// well-behaved one — against a sliding window of the node's last
     /// `node_capacity` placements. An ask that does not fit on either
     /// axis is shed (it still occupies a zero-reservation window slot, so
     /// overload ages out deterministically as the window slides).
     pub fn build(
         cfg: &FleetConfig,
         pool: &NodePool,
+        regions: RegionMap,
         plan: &ChaosPlan,
         specs: &[SessionSpec],
     ) -> GuardSchedule {
@@ -246,7 +249,7 @@ impl GuardSchedule {
             let window = cfg.node_capacity.max(1);
             let mut recent: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); pool.len()];
             for spec in specs {
-                let node = pool.place(spec.placement_key());
+                let node = regions.order(pool, spec.placement_key())[0];
                 let faults = session_faults(plan, node, spec.id, spec.seed);
                 let ask = if faults.hostile_guest.is_some() {
                     (policy.fuel, policy.max_heap_bytes)
@@ -416,7 +419,8 @@ mod tests {
         let cfg = FleetConfig::new(8, 1);
         let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &FaultPlan::default()).unwrap();
         let specs = build_session_specs(&cfg);
-        let sched = GuardSchedule::build(&cfg, &pool, &ChaosPlan::empty(), &specs);
+        let flat = RegionMap::new(1, pool.len()).unwrap();
+        let sched = GuardSchedule::build(&cfg, &pool, flat, &ChaosPlan::empty(), &specs);
         assert!(!sched.armed());
         assert_eq!(sched.shed_count(), 0);
     }
@@ -428,12 +432,13 @@ mod tests {
         let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &FaultPlan::default()).unwrap();
         let specs = build_session_specs(&cfg);
         let plan = ChaosPlan::canned("hostile-guest").expect("canned plan");
-        let sched = GuardSchedule::build(&cfg, &pool, &plan, &specs);
+        let flat = RegionMap::new(1, pool.len()).unwrap();
+        let sched = GuardSchedule::build(&cfg, &pool, flat, &plan, &specs);
         assert!(sched.armed());
         assert!(sched.shed_count() > 0, "full-ceiling asks must overflow node capacity");
         assert!(sched.shed_count() < specs.len(), "the first asks on each node are admitted");
         // Pure replay: building twice sheds the identical set.
-        let again = GuardSchedule::build(&cfg, &pool, &plan, &specs);
+        let again = GuardSchedule::build(&cfg, &pool, flat, &plan, &specs);
         let mut a: Vec<u64> = specs.iter().map(|s| s.id).filter(|&id| sched.shed(id)).collect();
         let mut b: Vec<u64> = specs.iter().map(|s| s.id).filter(|&id| again.shed(id)).collect();
         a.sort_unstable();

@@ -8,16 +8,17 @@
 //!
 //! - [`pool`] — trusted-node shards partitioning the cor label space,
 //!   with consistent-hash placement (a user's cors always land on the
-//!   same node), per-node admission control, and health state.
+//!   same node), per-node admission control, and static health.
 //! - [`spec`] — deterministic generation of session specs (workload,
 //!   link, seed) from a single fleet seed.
 //! - [`chaos_run`] — the fleet executor: [`run_fleet_chaos`] runs every
 //!   session under a `tinman-chaos` fault plan (the empty plan for a
-//!   clean fleet, which is all [`run_fleet`] is) with circuit-breaker
-//!   placement, retry-with-backoff failover onto replica shards,
-//!   checkpoint/replay recovery, exactly-once payload replacement, a
-//!   residue scan and vault audit on every attempt, and checked
-//!   fail-closed degradation.
+//!   clean fleet, which is all [`run_fleet`] is) through five stages:
+//!   admit (shedding, tenant policy), gate (health, breaker, membership,
+//!   attestation), prepare (world, guard, catch-up, drain, key rotation,
+//!   faults), run + audit (residue scan, dedup, vault audit), and settle
+//!   (serve, kill, migrate, or fail over with a checkpoint credit). Each
+//!   stage can fail the session closed with a typed reason.
 //! - [`sched`] — the worker-thread pool the executor fans sessions out
 //!   to, and the [`FleetObs`] trace/metrics wiring.
 //! - [`report`] — the aggregated [`FleetReport`]: throughput, latency

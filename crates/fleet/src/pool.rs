@@ -1,5 +1,5 @@
 //! The trusted-node pool: label-space sharding, consistent-hash
-//! placement, per-node admission control, and health tracking.
+//! placement, per-node admission control, and static health.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -13,7 +13,7 @@ use crate::failure::{FaultPlan, FaultPlanError, NodeHealth};
 const VNODES: usize = 16;
 
 /// One trusted-node shard: a disjoint slice of the cor label space plus
-/// the shared-state the scheduler needs (health, in-flight count).
+/// the state the scheduler needs (health, in-flight count).
 pub struct NodeShard {
     /// Shard index, `0..nodes`.
     pub id: usize,
@@ -23,18 +23,15 @@ pub struct NodeShard {
     pub label_start: u8,
     /// Exclusive upper bound of this shard's label range.
     pub label_end: u8,
-    health: Mutex<NodeHealth>,
+    health: NodeHealth,
     inflight: Mutex<usize>,
     admit: Condvar,
     capacity: usize,
-    /// Highest vault LSN this node has acknowledged as durable. Rejoin
-    /// after `Down` is gated on it reaching the pool's high-water mark.
-    watermark: Mutex<u64>,
 }
 
 /// Locks `m`, recovering the guard if a panicking thread poisoned it:
-/// every update under these locks is a single assignment, so a poisoned
-/// value is still valid.
+/// every update under the lock is a single step, so a poisoned value is
+/// still valid.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -54,19 +51,16 @@ impl Drop for CapacityPermit<'_> {
 }
 
 impl NodeShard {
-    /// Current health.
+    /// The health the fault plan gave this node. Rejoin after an outage
+    /// is a membership state ([`crate::MembershipState::CatchingUp`]),
+    /// not a health flip.
     pub fn health(&self) -> NodeHealth {
-        *lock(&self.health)
+        self.health
     }
 
     /// Sessions currently admitted.
     pub fn inflight(&self) -> usize {
         *lock(&self.inflight)
-    }
-
-    /// Highest vault LSN this node has acknowledged as durable.
-    pub fn watermark(&self) -> u64 {
-        *lock(&self.watermark)
     }
 
     /// Blocks until the node has capacity, then admits the caller.
@@ -82,7 +76,7 @@ impl NodeShard {
     }
 }
 
-/// Error from [`NodePool::set_health`]: the shard index does not exist.
+/// Error from [`NodePool::try_shard`]: the shard index does not exist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NoSuchNode {
     /// The out-of-range index the caller passed.
@@ -144,11 +138,10 @@ impl NodePool {
                 name: format!("node{i}.pool.tinman"),
                 label_start: (i * span / n) as u8,
                 label_end: ((i + 1) * span / n) as u8,
-                health: Mutex::new(faults.initial_health(i)),
+                health: faults.initial_health(i),
                 inflight: Mutex::new(0),
                 admit: Condvar::new(),
                 capacity: capacity.max(1),
-                watermark: Mutex::new(0),
             })
             .collect();
         let mut ring = Vec::with_capacity(n * VNODES);
@@ -222,69 +215,6 @@ impl NodePool {
         }
         order
     }
-
-    /// Fault-injection hook: flips a node's health mid-run. Sessions
-    /// placed on a `Down` node fail over per their retry schedule.
-    ///
-    /// A node leaving `Down` does **not** rejoin as serving instantly:
-    /// if its vault watermark is behind the pool's high-water mark, the
-    /// requested `Healthy`/`Degraded` is downgraded to
-    /// [`NodeHealth::CatchingUp`] — some cor binding exists that this
-    /// node provably does not hold, so serving would hand sessions a
-    /// stale store. [`NodePool::catch_up`] completes the rejoin.
-    ///
-    /// Returns [`NoSuchNode`] for an out-of-range index instead of
-    /// panicking — fault plans are frequently written against the
-    /// *requested* node count, which the pool may have clamped down.
-    pub fn set_health(&self, node: usize, health: NodeHealth) -> Result<(), NoSuchNode> {
-        let shard =
-            self.shards.get(node).ok_or(NoSuchNode { node, pool_len: self.shards.len() })?;
-        // Read the watermarks before taking the health lock: high_water
-        // walks every shard's watermark mutex and must not nest inside
-        // this shard's own guard.
-        let own = *lock(&shard.watermark);
-        let behind = own < self.high_water();
-        let mut current = lock(&shard.health);
-        let rejoining = matches!(*current, NodeHealth::Down | NodeHealth::CatchingUp);
-        *current =
-            if health.can_serve() && rejoining && behind { NodeHealth::CatchingUp } else { health };
-        Ok(())
-    }
-
-    /// Records that `node`'s vault acknowledged `lsn` as durable. The
-    /// watermark is monotonic: stale acknowledgements never regress it.
-    pub fn set_watermark(&self, node: usize, lsn: u64) -> Result<(), NoSuchNode> {
-        let shard =
-            self.shards.get(node).ok_or(NoSuchNode { node, pool_len: self.shards.len() })?;
-        let mut w = lock(&shard.watermark);
-        *w = (*w).max(lsn);
-        Ok(())
-    }
-
-    /// The pool-wide high-water mark: the highest watermark any shard
-    /// has acknowledged. A rejoining node must reach this before serving.
-    pub fn high_water(&self) -> u64 {
-        self.shards.iter().map(|s| *lock(&s.watermark)).max().unwrap_or(0)
-    }
-
-    /// Anti-entropy completion for a rejoining node: advances its
-    /// watermark to the pool's high-water mark and, if it was gated in
-    /// [`NodeHealth::CatchingUp`], promotes it to `Healthy`. Returns the
-    /// LSNs the catch-up covered.
-    pub fn catch_up(&self, node: usize) -> Result<u64, NoSuchNode> {
-        let shard =
-            self.shards.get(node).ok_or(NoSuchNode { node, pool_len: self.shards.len() })?;
-        let target = self.high_water();
-        let mut w = lock(&shard.watermark);
-        let applied = target.saturating_sub(*w);
-        *w = target;
-        drop(w);
-        let mut health = lock(&shard.health);
-        if *health == NodeHealth::CatchingUp {
-            *health = NodeHealth::Healthy;
-        }
-        Ok(applied)
-    }
 }
 
 #[cfg(test)]
@@ -346,57 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn health_hooks_flip_state() {
-        let pool =
-            NodePool::new(2, 1, &FaultPlan { down_nodes: vec![1], slow_nodes: vec![] }).unwrap();
-        assert_eq!(pool.shard(0).health(), NodeHealth::Healthy);
-        assert_eq!(pool.shard(1).health(), NodeHealth::Down);
-        pool.set_health(1, NodeHealth::Healthy).unwrap();
-        assert_eq!(pool.shard(1).health(), NodeHealth::Healthy);
-    }
-
-    #[test]
-    fn rejoin_is_gated_on_vault_catch_up() {
-        let pool =
-            NodePool::new(2, 1, &FaultPlan { down_nodes: vec![1], slow_nodes: vec![] }).unwrap();
-        // The surviving node's vault advanced while node 1 was down.
-        pool.set_watermark(0, 7).unwrap();
-        assert_eq!(pool.high_water(), 7);
-        // Rejoin while behind: downgraded to CatchingUp, not serving.
-        pool.set_health(1, NodeHealth::Healthy).unwrap();
-        assert_eq!(pool.shard(1).health(), NodeHealth::CatchingUp);
-        assert!(!pool.shard(1).health().can_serve());
-        // Anti-entropy closes the gap and completes the rejoin.
-        assert_eq!(pool.catch_up(1).unwrap(), 7);
-        assert_eq!(pool.shard(1).watermark(), 7);
-        assert_eq!(pool.shard(1).health(), NodeHealth::Healthy);
-        // A node already at the high-water mark rejoins directly.
-        pool.set_health(1, NodeHealth::Down).unwrap();
-        pool.set_health(1, NodeHealth::Healthy).unwrap();
-        assert_eq!(pool.shard(1).health(), NodeHealth::Healthy);
-    }
-
-    #[test]
-    fn watermarks_are_monotonic() {
-        let pool = NodePool::new(1, 1, &FaultPlan::default()).unwrap();
-        pool.set_watermark(0, 5).unwrap();
-        pool.set_watermark(0, 3).unwrap();
-        assert_eq!(pool.shard(0).watermark(), 5, "stale acks never regress");
-        assert!(pool.set_watermark(9, 1).is_err());
-        assert!(pool.catch_up(9).is_err());
-    }
-
-    #[test]
-    fn healthy_nodes_are_not_demoted_by_set_health() {
-        let pool = NodePool::new(2, 1, &FaultPlan::default()).unwrap();
-        pool.set_watermark(0, 4).unwrap();
-        // Node 1 is behind but was never Down: flipping it Degraded is a
-        // link statement, not a rejoin, and must stick.
-        pool.set_health(1, NodeHealth::Degraded).unwrap();
-        assert_eq!(pool.shard(1).health(), NodeHealth::Degraded);
-    }
-
-    #[test]
     fn new_rejects_fault_plans_naming_missing_nodes() {
         let plan = FaultPlan { down_nodes: vec![7], slow_nodes: vec![] };
         let err = NodePool::new(2, 1, &plan).map(|_| ()).unwrap_err();
@@ -414,17 +293,6 @@ mod tests {
         assert!(pool.try_shard(1).is_ok());
         let err = pool.try_shard(9).err().expect("out of range");
         assert_eq!(err, NoSuchNode { node: 9, pool_len: 2 });
-    }
-
-    #[test]
-    fn set_health_rejects_bad_index_without_panicking() {
-        let pool = NodePool::new(2, 1, &FaultPlan::default()).unwrap();
-        let err = pool.set_health(7, NodeHealth::Down).unwrap_err();
-        assert_eq!(err, NoSuchNode { node: 7, pool_len: 2 });
-        assert!(err.to_string().contains("no node 7"));
-        // Healthy state untouched by the failed call.
-        assert_eq!(pool.shard(0).health(), NodeHealth::Healthy);
-        assert_eq!(pool.shard(1).health(), NodeHealth::Healthy);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct NodeReport {
     pub node: usize,
     /// Host name.
     pub name: String,
-    /// Health at the end of the run.
+    /// The node's static health from the config's fault plan.
     pub health: &'static str,
     /// Sessions this node served to completion.
     pub sessions: u64,
@@ -90,8 +90,9 @@ pub struct FleetReport {
     pub ok: u64,
     /// Sessions that exhausted every placement.
     pub failed: u64,
-    /// Placements retried fleet-wide (`attempts - sessions` for the
-    /// sessions that eventually ran somewhere).
+    /// Placements retried fleet-wide: Σ `attempts − 1` over all sessions,
+    /// saturating at zero for sessions that never attempted (shed or
+    /// denied).
     pub failovers: u64,
     /// Placements tried fleet-wide.
     pub attempts: u64,

@@ -11,10 +11,8 @@ use crate::spec::SessionSpec;
 
 /// Observability wiring for a fleet run: a trace emitter shared by the
 /// scheduler and every session runtime, plus the fleet-level metrics
-/// registry ([`crate::FleetReport`] reads `fleet.attempts` /
-/// `fleet.failovers` out of it). The default is fully disabled tracing
-/// and a fresh registry — the configuration the determinism tests pin
-/// down.
+/// registry. The default is fully disabled tracing and a fresh registry
+/// — the configuration the determinism tests pin down.
 #[derive(Clone, Debug, Default)]
 pub struct FleetObs {
     /// Trace emitter. Scheduler events (placement, failover, backoff,
@@ -22,8 +20,7 @@ pub struct FleetObs {
     /// session `spec.id` is the track.
     pub trace: TraceHandle,
     /// Fleet-level counters and histograms. Counter sums commute across
-    /// worker threads, so registry-sourced report fields stay
-    /// deterministic at any worker count.
+    /// worker threads, so their totals are the same at any worker count.
     pub metrics: MetricsRegistry,
 }
 

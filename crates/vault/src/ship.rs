@@ -140,11 +140,6 @@ impl ReplicatedVault {
         self.replicas[i].acked
     }
 
-    /// The fleet-wide high-water mark: the primary's durable LSN.
-    pub fn high_water(&self) -> u64 {
-        self.primary.durable_lsn()
-    }
-
     /// Injects shipping lag: replica `i`'s watermark stays `lsns` behind
     /// the primary until [`ReplicatedVault::catch_up`].
     pub fn set_lag(&mut self, i: usize, lsns: u64) {
@@ -224,7 +219,7 @@ mod tests {
             rv.append(&VaultOp::Put { record: rec, next_id: next }).unwrap();
             rv.commit_and_ship().unwrap();
         }
-        assert_eq!(rv.high_water(), 4);
+        assert_eq!(rv.primary().durable_lsn(), 4);
         assert_eq!(rv.watermark(0), 4);
         assert_eq!(rv.watermark(1), 2, "injected lag holds the watermark back");
         assert_eq!(rv.lag_of(1), 2);

@@ -9,7 +9,10 @@ use tinman::apps::servers::{install_auth_server, AuthServerSpec};
 use tinman::chaos::ChaosPlan;
 use tinman::cor::CorStore;
 use tinman::core::runtime::{Mode, RunReport, TinmanConfig, TinmanRuntime};
-use tinman::fleet::{run_fleet, run_fleet_chaos, FaultPlan, FleetConfig, FleetObs};
+use tinman::fleet::{
+    build_session_specs, run_fleet, run_fleet_chaos, FaultPlan, FleetConfig, FleetObs, NodePool,
+    RegionMap,
+};
 use tinman::obs::{chrome_trace_json, TraceHandle, TraceRecord};
 use tinman::sim::{LinkProfile, SimDuration};
 use tinman::vm::Value;
@@ -133,51 +136,74 @@ fn tracing_does_not_perturb_the_fleet_aggregate() {
     );
 }
 
+/// Runs the hostile-guest plan on a flat fleet and on a two-region one.
+/// On a region fleet a session's first placement is its home region's
+/// first node, which need not be its ring primary; admission and the
+/// `session_shed` event must both name that first placement.
 #[test]
 fn hostile_run_emits_guard_counters_and_events() {
-    let mut cfg = FleetConfig::new(8, 2);
-    cfg.nodes = 4;
-    let plan = ChaosPlan::canned("hostile-guest").expect("canned plan");
-    let (trace, sink) = TraceHandle::ring(1 << 16);
-    let obs = FleetObs { trace, ..FleetObs::default() };
-    let report = run_fleet_chaos(&cfg, &plan, &obs).expect("fleet runs");
-    assert!(report.guest_kills > 0 && report.shed_sessions > 0, "the plan exercises both paths");
+    for regions in [0u32, 2] {
+        let mut cfg = FleetConfig::new(if regions == 0 { 8 } else { 24 }, 2);
+        cfg.nodes = 4;
+        cfg.regions = regions;
+        let plan = ChaosPlan::canned("hostile-guest").expect("canned plan");
+        let (trace, sink) = TraceHandle::ring(1 << 16);
+        let obs = FleetObs { trace, ..FleetObs::default() };
+        let report = run_fleet_chaos(&cfg, &plan, &obs).expect("fleet runs");
+        assert!(
+            report.guest_kills > 0 && report.shed_sessions > 0,
+            "the plan exercises both paths"
+        );
 
-    // Counters mirror the report exactly, including the per-budget
-    // breakdown.
-    assert_eq!(obs.metrics.get("guard.kills"), report.guest_kills);
-    assert_eq!(obs.metrics.get("guard.sheds"), report.shed_sessions);
-    let breakdown: u64 = [
-        "guard.fuel_exhausted",
-        "guard.heap_exhausted",
-        "guard.depth_exhausted",
-        "guard.dsm_exhausted",
-        "guard.deadline_exhausted",
-    ]
-    .iter()
-    .map(|n| obs.metrics.get(n))
-    .sum();
-    assert_eq!(breakdown, report.guest_kills, "every kill lands in exactly one budget counter");
+        // Counters mirror the report exactly, including the per-budget
+        // breakdown.
+        assert_eq!(obs.metrics.get("guard.kills"), report.guest_kills);
+        assert_eq!(obs.metrics.get("guard.sheds"), report.shed_sessions);
+        let breakdown: u64 = [
+            "guard.fuel_exhausted",
+            "guard.heap_exhausted",
+            "guard.depth_exhausted",
+            "guard.dsm_exhausted",
+            "guard.deadline_exhausted",
+        ]
+        .iter()
+        .map(|n| obs.metrics.get(n))
+        .sum();
+        assert_eq!(breakdown, report.guest_kills, "every kill lands in exactly one budget counter");
 
-    // One trace event per kill and per shed, each naming its reason.
-    let records = sink.snapshot();
-    let kills: Vec<_> = records
-        .iter()
-        .filter_map(|r| match &r.event {
-            tinman::obs::TraceEvent::GuestKilled { reason, .. } => Some(*reason),
-            _ => None,
-        })
-        .collect();
-    let sheds = records
-        .iter()
-        .filter(|r| {
-            matches!(&r.event, tinman::obs::TraceEvent::SessionShed { reason, .. }
-                if *reason == "overloaded")
-        })
-        .count();
-    assert_eq!(kills.len() as u64, report.guest_kills);
-    assert_eq!(sheds as u64, report.shed_sessions);
-    assert!(kills.iter().all(|r| !r.is_empty()), "each kill event names its budget");
+        // One trace event per kill and per shed, each naming its reason.
+        let records = sink.snapshot();
+        let kills: Vec<_> = records
+            .iter()
+            .filter_map(|r| match &r.event {
+                tinman::obs::TraceEvent::GuestKilled { reason, .. } => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        let sheds: Vec<(u64, u64)> = records
+            .iter()
+            .filter_map(|r| match &r.event {
+                tinman::obs::TraceEvent::SessionShed { session, node, reason }
+                    if *reason == "overloaded" =>
+                {
+                    Some((*session, *node))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kills.len() as u64, report.guest_kills);
+        assert_eq!(sheds.len() as u64, report.shed_sessions);
+        assert!(kills.iter().all(|r| !r.is_empty()), "each kill event names its budget");
+
+        // Every shed names the session's first placement.
+        let pool = NodePool::new(cfg.nodes, cfg.node_capacity, &cfg.faults).expect("pool");
+        let map = RegionMap::new(cfg.regions, pool.len()).expect("regions");
+        let specs = build_session_specs(&cfg);
+        for (session, node) in sheds {
+            let first = map.order(&pool, specs[session as usize].placement_key())[0];
+            assert_eq!(node, first as u64, "session {session} shed on the wrong node");
+        }
+    }
 }
 
 #[test]

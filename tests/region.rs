@@ -9,10 +9,13 @@
 //! and 8 workers. Flat single-region configs are pinned byte-for-byte by
 //! the golden reports below.
 
+use std::collections::BTreeMap;
+
 use tinman::chaos::ChaosPlan;
 use tinman::fleet::{
     run_fleet, run_fleet_chaos, FleetConfig, FleetObs, FleetReport, MembershipState,
 };
+use tinman::obs::TraceHandle;
 
 fn simulated(report: &FleetReport) -> String {
     serde_json::to_string(&report.simulated_value()).unwrap()
@@ -43,6 +46,47 @@ fn flat_reports_match_pre_pr_goldens() {
     let plan = ChaosPlan::canned("tenant-rotation").expect("canned plan");
     let r = run_fleet_chaos(&cfg, &plan, &obs).expect("fleet runs");
     assert_eq!(simulated(&r), include_str!("golden/tenant_rotation_12.json").trim_end());
+}
+
+/// Metrics registry snapshot and per-kind trace event counts of one
+/// traced run, as the JSON the `counts_*` goldens hold.
+fn counts(cfg: &FleetConfig, plan: &str) -> String {
+    use serde_json::Value;
+    let (trace, sink) = TraceHandle::ring(1 << 20);
+    let obs = FleetObs { trace, ..FleetObs::default() };
+    run_fleet_chaos(cfg, &ChaosPlan::canned(plan).expect("canned plan"), &obs).expect("fleet runs");
+    let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
+    for r in sink.snapshot() {
+        *kinds.entry(r.event.name().to_owned()).or_default() += 1;
+    }
+    let kinds = Value::Map(kinds.into_iter().map(|(k, n)| (k, Value::U64(n))).collect());
+    let counts = Value::Map(vec![
+        ("metrics".to_owned(), obs.metrics.snapshot_value()),
+        ("trace_kinds".to_owned(), kinds),
+    ]);
+    serde_json::to_string(&counts).unwrap()
+}
+
+/// Two mixed-family runs pin every metric the executor emits and how many
+/// trace events of each kind it records: a tenant fleet on a routed
+/// topology, and a two-region fleet with a region outage. Regenerate them
+/// only with a reviewed diff that explains every changed value.
+#[test]
+fn mixed_runs_match_metric_and_trace_count_goldens() {
+    let mut cfg = FleetConfig::new(12, 1);
+    cfg.tenants = 2;
+    cfg.topology = true;
+    assert_eq!(
+        counts(&cfg, "tenant-rotation+vault-crash+handoff"),
+        include_str!("golden/counts_tenant_topology_12.json").trim_end()
+    );
+
+    let mut cfg = FleetConfig::new(12, 1);
+    cfg.regions = 2;
+    assert_eq!(
+        counts(&cfg, "region-failover+vault-crash"),
+        include_str!("golden/counts_region_failover_12.json").trim_end()
+    );
 }
 
 /// The acceptance bar: whole-region outage mid-offload under the canned

@@ -94,7 +94,7 @@ fn failover_is_gated_on_the_acknowledged_watermark() {
         rv.append(&op).unwrap();
         rv.commit_and_ship().unwrap();
     }
-    assert_eq!(rv.high_water(), 5);
+    assert_eq!(rv.primary().durable_lsn(), 5);
     assert_eq!(rv.watermark(0), 5);
     assert_eq!(rv.watermark(1), 2, "shipping lag holds the watermark back");
 
