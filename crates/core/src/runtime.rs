@@ -151,9 +151,10 @@ enum DsmOp {
 /// node serializes its guest machine and taint engine, scrubs its own
 /// heap (carrying the proof as a [`ScrubReceipt`]), and the scheduler
 /// ships these bytes to an attested peer through the sealed replica
-/// channel. The target proves fidelity by deserializing the same bytes
-/// ([`NodeCheckpoint::restore`]) before resuming; the checkpoint instant
-/// is the replay credit charged against the session's penalty deadline.
+/// channel. The target decodes the same bytes ([`NodeCheckpoint::restore`])
+/// before resuming and refuses a checkpoint that does not decode; the
+/// checkpoint instant is the replay credit charged against the session's
+/// penalty deadline.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NodeCheckpoint {
     /// The node index the guest drained from.
@@ -181,10 +182,11 @@ impl NodeCheckpoint {
         SimTime::ZERO + SimDuration::from_nanos(self.taken_at_ns)
     }
 
-    /// Rehydrates the suspended guest on the migration target — the
-    /// round-trip that proves the serialized state is faithful. An error
-    /// means the checkpoint cannot be trusted and the migration must be
-    /// abandoned (fail closed), never resumed from guesswork.
+    /// Decodes the suspended guest on the migration target. This checks
+    /// that the bytes parse back into a machine and a taint engine; it
+    /// does not compare them with the source. An error means the
+    /// checkpoint cannot be trusted and the migration must be abandoned
+    /// (fail closed), never resumed from guesswork.
     pub fn restore(&self) -> Result<(Machine, TaintEngine), RuntimeError> {
         let machine: Machine = serde_json::from_str(&self.machine_json)
             .map_err(|e| RuntimeError::CheckpointCorrupt { reason: e.to_string() })?;

@@ -823,10 +823,11 @@ impl SessionRun<'_> {
 
     /// Live migration: the node checkpointed the guest at a DSM sync point
     /// and scrubbed its heap. Audit the scrub receipt and re-scan the node
-    /// (residue is counted, never assumed zero), prove the checkpoint
-    /// faithful by round-tripping it, and carry its instant as the replay
-    /// credit for the next admissible peer. Shipping it pays the seeded
-    /// migration backoff against the same deadline as every retry.
+    /// (residue is counted, never assumed zero), decode the checkpoint
+    /// (one that does not decode is abandoned), and carry its instant as
+    /// the replay credit for the next admissible peer. Shipping it pays
+    /// the seeded migration backoff against the same deadline as every
+    /// retry.
     fn migrate(&mut self, attempt: &mut Attempt<'_>, i: usize) {
         let (cfg, spec, obs) = (self.cfg, self.spec, self.obs);
         let (node, world) = (attempt.slot.node, &mut attempt.world);

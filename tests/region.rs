@@ -9,13 +9,18 @@
 //! and 8 workers. Flat single-region configs are pinned byte-for-byte by
 //! the golden reports below.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use tinman::chaos::ChaosPlan;
+use tinman::core::{Mode, NodeCheckpoint, RuntimeError};
+use tinman::fleet::session::base_link;
 use tinman::fleet::{
-    run_fleet, run_fleet_chaos, FleetConfig, FleetObs, FleetReport, MembershipState,
+    build_session_specs, build_session_world, run_fleet, run_fleet_chaos, FaultPlan, FleetConfig,
+    FleetObs, FleetReport, MembershipState, NodePool,
 };
 use tinman::obs::TraceHandle;
+use tinman::sim::{SimDuration, SimTime};
 
 fn simulated(report: &FleetReport) -> String {
     serde_json::to_string(&report.simulated_value()).unwrap()
@@ -261,6 +266,68 @@ proptest! {
                 Some(r) => prop_assert_eq!(&bytes, r, "report diverged at {} workers", workers),
             }
         }
+    }
+}
+
+/// A real migration checkpoint: session 0 (a login) runs on node 0 with
+/// a drain armed 1 ms in, so its first node sync point after that
+/// serializes the guest and surfaces `NodeDraining`.
+fn drained_checkpoint() -> &'static NodeCheckpoint {
+    static CHECKPOINT: OnceLock<NodeCheckpoint> = OnceLock::new();
+    CHECKPOINT.get_or_init(|| {
+        let cfg = FleetConfig::new(1, 1);
+        let spec = &build_session_specs(&cfg)[0];
+        let pool = NodePool::new(1, 1, &FaultPlan::default()).unwrap();
+        let shard = pool.shard(0);
+        let link = base_link(spec.link);
+        let mut world = build_session_world(
+            spec,
+            (shard.label_start, shard.label_end),
+            link,
+            &TraceHandle::noop(),
+        )
+        .unwrap();
+        world.rt.set_drain_at(SimTime::ZERO + SimDuration::from_millis(1), world.secrets.clone());
+        let inputs = HashMap::from([
+            ("username".to_owned(), "alice".to_owned()),
+            ("amount".to_owned(), "99.95".to_owned()),
+        ]);
+        let run = world.rt.run_app(&world.app, Mode::TinMan, &inputs);
+        assert!(matches!(run, Err(RuntimeError::NodeDraining { .. })), "{run:?}");
+        world.rt.take_node_checkpoint().expect("a drained run leaves a checkpoint")
+    })
+}
+
+#[test]
+fn drained_checkpoint_restores() {
+    drained_checkpoint().restore().expect("an intact checkpoint restores");
+}
+
+/// Cuts `s` at the char boundary at or below `at`.
+fn truncated(s: &str, at: usize) -> String {
+    let mut at = at.min(s.len());
+    while !s.is_char_boundary(at) {
+        at -= 1;
+    }
+    s[..at].to_owned()
+}
+
+proptest! {
+    #![cases(48)]
+
+    /// A checkpoint cut short in transit — either half, at any offset —
+    /// is refused as corrupt, never resumed and never a panic.
+    #[test]
+    fn truncated_checkpoints_are_refused_as_corrupt(cut in any::<u64>(), engine in any::<bool>()) {
+        let mut cp = drained_checkpoint().clone();
+        let field = if engine { &mut cp.engine_json } else { &mut cp.machine_json };
+        *field = truncated(field, (cut % field.len() as u64) as usize);
+        let restored = cp.restore();
+        prop_assert!(
+            matches!(restored, Err(RuntimeError::CheckpointCorrupt { .. })),
+            "a truncated checkpoint restored: {:?}",
+            restored.map(|_| ())
+        );
     }
 }
 
