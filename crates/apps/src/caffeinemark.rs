@@ -288,15 +288,9 @@ pub fn run_kernel_prebuilt(
     let config = ExecConfig::client();
     let event = match compiled {
         None => interp::run(&mut machine, image, &mut host, engine, config),
-        Some(compiled) => run_tiered(
-            &mut machine,
-            image,
-            compiled,
-            &mut host,
-            engine,
-            config.with_tier(ExecTier::Blocks),
-            &mut telemetry,
-        ),
+        Some(compiled) => {
+            run_tiered(&mut machine, image, compiled, &mut host, engine, config, &mut telemetry)
+        }
     }
     .expect("caffeinemark kernels cannot fault");
     assert!(matches!(event, ExecEvent::Halted(_)), "kernels must halt");

@@ -7,6 +7,7 @@ use tinman_dsm::DsmError;
 use tinman_guard::KillReason;
 use tinman_net::NetError;
 use tinman_tls::TlsError;
+use tinman_vm::machine::LockSite;
 use tinman_vm::VmError;
 
 /// An error raised by the TinMan runtime while driving an app.
@@ -75,6 +76,16 @@ pub enum RuntimeError {
         /// The other involved node index.
         node_b: usize,
     },
+    /// A VM segment returned an event its endpoint can never raise: a
+    /// migrate-back or taint-idle on the client, an offload trigger under
+    /// the node's full engine, or a trigger with no suspended frame. The
+    /// run fails closed instead of guessing how to continue.
+    UnexpectedEvent {
+        /// The endpoint whose segment returned the event.
+        site: LockSite,
+        /// What was unexpected about it.
+        event: &'static str,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -113,6 +124,9 @@ impl fmt::Display for RuntimeError {
                 "cor labels span trusted nodes {node_a} and {node_b}; a derived value \
                  cannot mix trust domains"
             ),
+            RuntimeError::UnexpectedEvent { site, event } => {
+                write!(f, "unexpected {event} from a {site:?} segment")
+            }
         }
     }
 }

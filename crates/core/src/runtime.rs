@@ -24,7 +24,7 @@ use tinman_taint::TaintEngine;
 use tinman_tls::{TlsConfig, TINMAN_MARK};
 use tinman_vm::machine::LockSite;
 use tinman_vm::{
-    AppImage, CompiledImage, ExecConfig, ExecEvent, ExecTier, Machine, TierTelemetry, Value,
+    AppImage, CompiledImage, ExecConfig, ExecEvent, Machine, NativeHost, TierTelemetry, Value,
     VmError,
 };
 
@@ -86,12 +86,6 @@ pub struct TinmanConfig {
     /// runtime; `Some` arms budget enforcement, watchdog deadline, and
     /// scrub-on-kill teardown for the guest.
     pub guard: Option<GuardPolicy>,
-    /// Execution tier for node segments. [`ExecTier::Blocks`] runs warm
-    /// guest code through the block-compiled tier (bit-identical to the
-    /// interpreter by the `tinman-vm` tier contract, so reports and
-    /// events do not change — only host wall time). The compiled image is
-    /// cached per app hash, mirroring the dex warm-cache.
-    pub node_tier: ExecTier,
     /// Build the world as a routed internet instead of a flat link: the
     /// phone lives on an access subnet behind a NAT gateway, the trusted
     /// node on its own subnet, servers on the public core, joined by
@@ -120,7 +114,6 @@ impl Default for TinmanConfig {
             ssl_coordination_rtts: 2,
             critical_apps: None,
             guard: None,
-            node_tier: ExecTier::Interpret,
             topology: false,
             resync_retries: 0,
             resync_backoff: SimDuration::from_millis(500),
@@ -141,6 +134,60 @@ enum DsmOp {
     /// Lock-ownership transfer: a client background thread holds the
     /// monitor the offloaded code is blocked on.
     LockFromClient,
+}
+
+/// The block tier as the runtime drives it: both endpoints run every
+/// segment through [`tinman_vm::run_tiered`], which is bit-identical to
+/// the interpreter by the `tinman-vm` tier contract, so reports and events
+/// match an interpreted run and only host wall time changes.
+#[derive(Default)]
+struct BlockTier {
+    /// The compiled image, keyed by app-image hash (one app is warm at a
+    /// time, like the node's dex cache).
+    compiled_cache: Option<([u8; 32], CompiledImage)>,
+    /// Cumulative counters across every client and node segment.
+    telemetry: TierTelemetry,
+}
+
+impl BlockTier {
+    /// Runs one segment of `image` (whose hash is `app_hash`) on
+    /// `machine`, compiling the image on a cache miss, and adds the
+    /// segment's counter deltas to the runtime-local `tier.*` metrics.
+    #[allow(clippy::too_many_arguments)]
+    fn run_segment<H: NativeHost>(
+        &mut self,
+        metrics: &MetricsRegistry,
+        image: &AppImage,
+        app_hash: [u8; 32],
+        machine: &mut Machine,
+        host: &mut H,
+        engine: &mut TaintEngine,
+        exec: ExecConfig,
+    ) -> Result<ExecEvent, VmError> {
+        if self.compiled_cache.as_ref().is_some_and(|(h, _)| *h != app_hash) {
+            self.compiled_cache = None;
+        }
+        let (_, compiled) = self.compiled_cache.get_or_insert_with(|| {
+            metrics.incr("tier.compiles");
+            (app_hash, CompiledImage::compile(image))
+        });
+        let before = self.telemetry;
+        let r = tinman_vm::run_tiered(
+            machine,
+            image,
+            compiled,
+            host,
+            engine,
+            exec,
+            &mut self.telemetry,
+        );
+        let t = self.telemetry;
+        metrics.add("tier.block_runs", t.block_runs - before.block_runs);
+        metrics.add("tier.fast_insns", t.fast_insns - before.fast_insns);
+        metrics.add("tier.stepped_insns", t.stepped_insns - before.stepped_insns);
+        metrics.add("tier.deopts", t.deopts - before.deopts);
+        r
+    }
 }
 
 /// A serialized suspension of an in-flight offloaded thread, taken at a
@@ -262,11 +309,8 @@ pub struct TinmanRuntime {
     /// it must be re-applied to the engines each run (engines are rebuilt
     /// per run).
     dsm_fault: Option<tinman_dsm::SyncFault>,
-    /// Block-tier compilation cache, keyed by app-image hash (one app is
-    /// warm at a time, like the node's dex cache).
-    compiled_cache: Option<([u8; 32], CompiledImage)>,
-    /// Cumulative block-tier counters across every node segment.
-    tier_telemetry: TierTelemetry,
+    /// The block tier every client and node segment runs on.
+    tier: BlockTier,
     /// Membership drain trigger: when set, the first node-segment sync
     /// point at or after this instant checkpoints the guest and drains
     /// the node instead of running the segment.
@@ -330,25 +374,17 @@ impl TinmanRuntime {
             trace_track: 0,
             metrics: MetricsRegistry::new(),
             dsm_fault: None,
-            compiled_cache: None,
-            tier_telemetry: TierTelemetry::default(),
+            tier: BlockTier::default(),
             drain_at: None,
             drain_probes: Vec::new(),
             node_checkpoint: None,
         }
     }
 
-    /// Selects the execution tier for node segments. With
-    /// [`ExecTier::Blocks`], warm guest code runs through the
-    /// block-compiled tier; results are bit-identical to the interpreter.
-    pub fn set_node_tier(&mut self, tier: ExecTier) {
-        self.config.node_tier = tier;
-    }
-
-    /// Cumulative block-tier counters across every node segment run so
-    /// far (all zero under [`ExecTier::Interpret`]).
+    /// Cumulative block-tier counters across every client and node
+    /// segment run so far.
     pub fn tier_telemetry(&self) -> TierTelemetry {
-        self.tier_telemetry
+        self.tier.telemetry
     }
 
     /// Wires the runtime (and its world) to a trace sink. Every event the
@@ -851,9 +887,11 @@ impl TinmanRuntime {
                     rng: &mut self.rng,
                     last_tls_error: &mut last_tls_error,
                 };
-                tinman_vm::interp::run(
-                    machine,
+                self.tier.run_segment(
+                    &self.metrics,
                     image,
+                    app_hash,
+                    machine,
                     &mut host,
                     engine,
                     ExecConfig::client().with_fuel(self.config.fuel),
@@ -878,9 +916,12 @@ impl TinmanRuntime {
                     continue;
                 }
                 ExecEvent::MigrateBack { .. } | ExecEvent::TaintIdle => {
-                    // Cannot happen on the client (no idle limit, and the
-                    // client host never returns MigrateBack).
-                    unreachable!("client run cannot yield a node-side event")
+                    // The client has no idle limit and its host never
+                    // returns MigrateBack; fail closed if it ever does.
+                    return Err(RuntimeError::UnexpectedEvent {
+                        site: LockSite::Client,
+                        event: "node-side migrate-back",
+                    });
                 }
                 ExecEvent::OffloadTrigger { labels, .. } => {
                     if !self.config.online {
@@ -903,7 +944,11 @@ impl TinmanRuntime {
                         self.filter_target = active_host;
                     }
                     // Ping-pong detection (same pc, no progress).
-                    let frame = self.client.machine.top_frame().expect("suspended frame");
+                    let frame =
+                        self.client.machine.top_frame().ok_or(RuntimeError::UnexpectedEvent {
+                            site: LockSite::Client,
+                            event: "offload trigger with no suspended frame",
+                        })?;
                     let key = (frame.func_name.clone(), frame.pc);
                     let instrs_now = self.client.machine.stats.instrs;
                     if self.trace.is_enabled() {
@@ -1051,66 +1096,15 @@ impl TinmanRuntime {
                             ExecConfig::trusted_node(self.config.taint_idle_limit, self.config.fuel)
                         }
                     };
-                    let exec = exec.with_tier(self.config.node_tier);
-                    match self.config.node_tier {
-                        ExecTier::Interpret => {
-                            tinman_vm::interp::run(machine, image, &mut host, engine, exec)
-                        }
-                        ExecTier::Blocks => {
-                            // Compile-once cache keyed by app hash, like the
-                            // node's dex warm cache.
-                            if self.compiled_cache.as_ref().is_none_or(|(h, _)| *h != app_hash) {
-                                let compiled = CompiledImage::compile(image);
-                                let s = compiled.stats();
-                                self.metrics.incr("tier.compiles");
-                                if self.trace.is_enabled() {
-                                    self.trace.emit_on(
-                                        self.trace_track,
-                                        self.clock.now(),
-                                        TraceEvent::TierCompile {
-                                            functions: s.functions,
-                                            blocks: s.blocks,
-                                            ops: s.ops,
-                                            folded: s.folded,
-                                            eliminated: s.eliminated,
-                                            fused: s.fused,
-                                        },
-                                    );
-                                }
-                                self.compiled_cache = Some((app_hash, compiled));
-                            }
-                            let compiled = &self.compiled_cache.as_ref().expect("cached above").1;
-                            let before = self.tier_telemetry;
-                            let r = tinman_vm::run_tiered(
-                                machine,
-                                image,
-                                compiled,
-                                &mut host,
-                                engine,
-                                exec,
-                                &mut self.tier_telemetry,
-                            );
-                            let t = self.tier_telemetry;
-                            self.metrics.add("tier.block_runs", t.block_runs - before.block_runs);
-                            self.metrics.add("tier.fast_insns", t.fast_insns - before.fast_insns);
-                            self.metrics
-                                .add("tier.stepped_insns", t.stepped_insns - before.stepped_insns);
-                            self.metrics.add("tier.deopts", t.deopts - before.deopts);
-                            if self.trace.is_enabled() {
-                                self.trace.emit_on(
-                                    self.trace_track,
-                                    self.clock.now(),
-                                    TraceEvent::TierSegment {
-                                        block_runs: t.block_runs - before.block_runs,
-                                        fast_insns: t.fast_insns - before.fast_insns,
-                                        stepped_insns: t.stepped_insns - before.stepped_insns,
-                                        deopts: t.deopts - before.deopts,
-                                    },
-                                );
-                            }
-                            r
-                        }
-                    }
+                    self.tier.run_segment(
+                        &self.metrics,
+                        image,
+                        app_hash,
+                        machine,
+                        &mut host,
+                        engine,
+                        exec,
+                    )
                 };
                 let event = match event {
                     Ok(ev) => ev,
@@ -1170,7 +1164,12 @@ impl TinmanRuntime {
                         });
                     }
                     ExecEvent::OffloadTrigger { .. } => {
-                        unreachable!("the full engine never triggers offload")
+                        // The node's full engine never triggers offload;
+                        // fail closed if it ever does.
+                        return Err(RuntimeError::UnexpectedEvent {
+                            site: LockSite::TrustedNode,
+                            event: "offload trigger",
+                        });
                     }
                     ExecEvent::LockRemote(_) => {
                         // A client-side (background-thread) monitor blocks

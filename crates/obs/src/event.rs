@@ -264,34 +264,6 @@ pub enum TraceEvent {
         /// True when the rotation was forced by a suspected compromise.
         forced: bool,
     },
-    /// The block tier compiled an app image for node-side execution
-    /// (once per warm image; subsequent segments reuse the cache).
-    TierCompile {
-        /// Functions decoded.
-        functions: u64,
-        /// Basic blocks formed.
-        blocks: u64,
-        /// Ops in the final IR after the pass pipeline.
-        ops: u64,
-        /// Constant-folding rewrites applied.
-        folded: u64,
-        /// Dead stores eliminated.
-        eliminated: u64,
-        /// Superinstructions fused.
-        fused: u64,
-    },
-    /// One node segment ran under the block tier; counters are the
-    /// segment's deltas (not cumulative).
-    TierSegment {
-        /// Blocks executed natively.
-        block_runs: u64,
-        /// Instructions retired through the fast path.
-        fast_insns: u64,
-        /// Instructions retired by deoptimized stepping.
-        stepped_insns: u64,
-        /// Block-entry precondition failures.
-        deopts: u64,
-    },
     /// A mobility handoff was applied mid-session: the radio switched
     /// link profiles, the air went dark for the blackout, and (when
     /// `rebind` is set) the host's NAT bindings were flushed with
@@ -353,8 +325,6 @@ impl TraceEvent {
             TraceEvent::TenantPolicyDecision { .. } => "tenant_policy_decision",
             TraceEvent::AttestationRefused { .. } => "attestation_refused",
             TraceEvent::TenantKeyRotation { .. } => "tenant_key_rotation",
-            TraceEvent::TierCompile { .. } => "tier_compile",
-            TraceEvent::TierSegment { .. } => "tier_segment",
             TraceEvent::Handoff { .. } => "handoff",
             TraceEvent::NatRewrite { .. } => "nat_rewrite",
             TraceEvent::DnsFault { .. } => "dns_fault",
@@ -486,20 +456,6 @@ impl TraceEvent {
                 ("tenant".to_owned(), Value::U64(*tenant)),
                 ("epoch".to_owned(), Value::U64(*epoch)),
                 ("forced".to_owned(), Value::Bool(*forced)),
-            ],
-            TraceEvent::TierCompile { functions, blocks, ops, folded, eliminated, fused } => vec![
-                ("functions".to_owned(), Value::U64(*functions)),
-                ("blocks".to_owned(), Value::U64(*blocks)),
-                ("ops".to_owned(), Value::U64(*ops)),
-                ("folded".to_owned(), Value::U64(*folded)),
-                ("eliminated".to_owned(), Value::U64(*eliminated)),
-                ("fused".to_owned(), Value::U64(*fused)),
-            ],
-            TraceEvent::TierSegment { block_runs, fast_insns, stepped_insns, deopts } => vec![
-                ("block_runs".to_owned(), Value::U64(*block_runs)),
-                ("fast_insns".to_owned(), Value::U64(*fast_insns)),
-                ("stepped_insns".to_owned(), Value::U64(*stepped_insns)),
-                ("deopts".to_owned(), Value::U64(*deopts)),
             ],
             TraceEvent::Handoff { link, blackout_ns, rebind } => vec![
                 ("link".to_owned(), s(link)),

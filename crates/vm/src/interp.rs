@@ -16,7 +16,6 @@ use crate::heap::Heap;
 use crate::insn::Insn;
 use crate::machine::{LockSite, Machine, MachineStatus};
 use crate::program::AppImage;
-use crate::tier::ExecTier;
 use crate::value::{ObjId, Value};
 
 /// Why an offload trigger fired.
@@ -88,13 +87,6 @@ pub struct ExecConfig {
     /// Fault with [`VmError::CallDepthExceeded`] once the call stack grows
     /// deeper than this many frames.
     pub max_call_depth: Option<usize>,
-    /// Which execution tier the embedder selected for this run. The
-    /// interpreter itself ignores the field (it *is* the
-    /// [`ExecTier::Interpret`] tier); the runtime reads it to decide
-    /// whether to dispatch through [`crate::tier::run_tiered`] instead.
-    /// Tier selection never changes observable machine state — the
-    /// compiled tier is bit-identical to the interpreter by contract.
-    pub tier: ExecTier,
 }
 
 impl Default for ExecConfig {
@@ -106,7 +98,6 @@ impl Default for ExecConfig {
             max_heap_objects: None,
             max_heap_bytes: None,
             max_call_depth: None,
-            tier: ExecTier::Interpret,
         }
     }
 }
@@ -128,7 +119,6 @@ impl ExecConfig {
             max_heap_objects: None,
             max_heap_bytes: None,
             max_call_depth: None,
-            tier: ExecTier::Interpret,
         }
     }
 
@@ -148,12 +138,6 @@ impl ExecConfig {
     /// Caps the call-stack depth.
     pub fn with_depth_limit(mut self, depth: usize) -> Self {
         self.max_call_depth = Some(depth);
-        self
-    }
-
-    /// Selects the execution tier.
-    pub fn with_tier(mut self, tier: ExecTier) -> Self {
-        self.tier = tier;
         self
     }
 }

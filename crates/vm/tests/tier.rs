@@ -15,8 +15,8 @@ use tinman_taint::{Label, TaintEngine, TaintSet};
 use tinman_vm::interp::{run, ExecConfig, ExecEvent, NativeOutcome, NullHost, TriggerReason};
 use tinman_vm::machine::LockSite;
 use tinman_vm::{
-    run_tiered, AppImage, CompiledImage, Insn, Machine, NativeCtx, NativeHost, ObjId, PassPipeline,
-    ProgramBuilder, TierTelemetry, Value, VmError,
+    run_tiered, AppImage, CompiledImage, FuncId, Insn, Machine, NativeCtx, NativeHost, ObjId,
+    PassPipeline, ProgramBuilder, StrIdx, TierTelemetry, Value, VmError,
 };
 
 fn label() -> TaintSet {
@@ -98,53 +98,80 @@ fn diff_run(
 /// ops, step-only ops, out-of-range local slots, and jumps to arbitrary
 /// (including out-of-range) targets, with a callable auxiliary function.
 fn arbitrary_image(ops: &[(u8, i64)]) -> AppImage {
+    fuzz_image(ops, false)
+}
+
+/// [`arbitrary_image`] plus, when `secrets` is set, a native import that
+/// [`SecretHost`] serves as a tainted string. `main` then opens by storing
+/// a secret in local 5 and pushing three ints, and three more selectors
+/// work on that local: 30 refreshes it from the native, 31 reads a char of
+/// it, 32 concatenates onto it. Under the asymmetric engine the reads and
+/// derivations trigger offload at whatever pc the fuzzed prefix reaches
+/// them. Selectors below 30 mean the same in both shapes.
+fn fuzz_image(ops: &[(u8, i64)], secrets: bool) -> AppImage {
     let mut p = ProgramBuilder::new("fuzz");
     let s0 = p.string("ab");
+    let secret = secrets.then(|| p.native("test.get_secret"));
     let aux = p.define("aux", 1, 2, |b, _| {
         b.load(0).const_i(3).op(Insn::Mul).op(Insn::Ret);
     });
     let code_len = ops.len() as i64 + 1; // + trailing Halt
     let main = p.define("main", 0, 8, |b, _| {
+        if let Some(nat) = secret {
+            // Seed a tainted local and a stack three ints deep, so the
+            // fuzzed ops reach tainted data before they underflow.
+            b.op(Insn::CallNative(nat, 0)).store(5);
+            b.const_i(1).const_i(2).const_i(3);
+        }
         for &(sel, k) in ops {
             let target = k.rem_euclid(code_len + 2) as u32;
-            let insn = match sel % 30 {
-                0 => Insn::ConstI(k),
-                1 => Insn::ConstD(k as f64 * 0.5),
-                2 => Insn::Add,
-                3 => Insn::Sub,
-                4 => Insn::Mul,
-                5 => Insn::Div,
-                6 => Insn::Rem,
-                7 => Insn::Shl,
-                8 => Insn::Shr,
-                9 => Insn::BitAnd,
-                10 => Insn::BitXor,
-                11 => Insn::Neg,
-                12 => Insn::I2D,
-                13 => Insn::D2I,
-                14 => Insn::Dup,
-                15 => Insn::Pop,
-                16 => Insn::Swap,
-                17 => Insn::Load(k.rem_euclid(10) as u16), // slots 8/9 are invalid
-                18 => Insn::Store(k.rem_euclid(10) as u16),
-                19 => Insn::Jump(target),
-                20 => Insn::JumpIfZero(target),
-                21 => Insn::JumpIfNonZero(target),
-                22 => Insn::CmpLt,
-                23 => Insn::CmpEq,
-                24 => Insn::Nop,
-                25 => Insn::Call(aux),
-                26 => Insn::ConstS(s0),
-                27 => Insn::StrLen,
-                28 => Insn::StrFromChar,
-                29 => Insn::NewArr,
-                _ => unreachable!(),
+            match (sel, secret) {
+                (30, Some(nat)) => b.op(Insn::CallNative(nat, 0)).store(5),
+                (31, Some(_)) => b.load(5).const_i(k.rem_euclid(3)).op(Insn::StrCharAt),
+                (32, Some(_)) => b.load(5).op(Insn::ConstS(s0)).op(Insn::StrConcat),
+                _ => b.op(fuzz_insn(sel % 30, k, target, aux, s0)),
             };
-            b.op(insn);
         }
         b.op(Insn::Halt);
     });
     p.build(main)
+}
+
+/// The selector mapping shared by both fuzz image shapes.
+fn fuzz_insn(sel: u8, k: i64, target: u32, aux: FuncId, s0: StrIdx) -> Insn {
+    match sel {
+        0 => Insn::ConstI(k),
+        1 => Insn::ConstD(k as f64 * 0.5),
+        2 => Insn::Add,
+        3 => Insn::Sub,
+        4 => Insn::Mul,
+        5 => Insn::Div,
+        6 => Insn::Rem,
+        7 => Insn::Shl,
+        8 => Insn::Shr,
+        9 => Insn::BitAnd,
+        10 => Insn::BitXor,
+        11 => Insn::Neg,
+        12 => Insn::I2D,
+        13 => Insn::D2I,
+        14 => Insn::Dup,
+        15 => Insn::Pop,
+        16 => Insn::Swap,
+        17 => Insn::Load(k.rem_euclid(10) as u16), // slots 8/9 are invalid
+        18 => Insn::Store(k.rem_euclid(10) as u16),
+        19 => Insn::Jump(target),
+        20 => Insn::JumpIfZero(target),
+        21 => Insn::JumpIfNonZero(target),
+        22 => Insn::CmpLt,
+        23 => Insn::CmpEq,
+        24 => Insn::Nop,
+        25 => Insn::Call(aux),
+        26 => Insn::ConstS(s0),
+        27 => Insn::StrLen,
+        28 => Insn::StrFromChar,
+        29 => Insn::NewArr,
+        _ => unreachable!(),
+    }
 }
 
 proptest! {
@@ -173,6 +200,30 @@ proptest! {
                 || NullHost,
                 TaintEngine::full,
                 ExecConfig::trusted_node(23, fuel).with_heap_quota(24, 4096).with_depth_limit(12),
+                8,
+            );
+        }
+    }
+}
+
+proptest! {
+    #![cases(48)]
+    /// The production client shape: the asymmetric engine and a host whose
+    /// native hands back a tainted string, so tainted reads, tainted
+    /// derivations and offload triggers land at arbitrary pcs.
+    #[test]
+    fn arbitrary_secret_bytecode_is_bit_identical_on_the_client(
+        ops in proptest::collection::vec((0u8..33, -9i64..81), 0..36),
+        fuel in 1u64..90,
+    ) {
+        let image = fuzz_image(&ops, true);
+        for pipeline in [PassPipeline::default(), PassPipeline::decode_only()] {
+            diff_run_full(
+                &image,
+                &pipeline,
+                || SecretHost,
+                TaintEngine::asymmetric,
+                ExecConfig::client().with_fuel(fuel),
                 8,
             );
         }
