@@ -11,7 +11,7 @@
 
 use tinman_taint::TaintEngine;
 use tinman_vm::{
-    interp, run_tiered, AppImage, CompiledImage, ExecConfig, ExecEvent, ExecTier, Insn, Machine,
+    interp, run_tiered, AppImage, CompiledImage, ExecConfig, ExecEvent, Insn, Machine,
     ProgramBuilder, TierTelemetry,
 };
 
@@ -254,28 +254,13 @@ pub fn run_kernel(
     CaffeinemarkResult { kernel, cycles: machine.stats.cycles, instrs: machine.stats.instrs }
 }
 
-/// Runs one kernel under the chosen execution tier. By the tier contract
-/// the retired counters (and thus the score) are identical to
-/// [`run_kernel`] — what changes is host wall time, which the criterion
-/// bench measures. Returns the tier telemetry so callers can verify
-/// fast-path coverage (all zeros under [`ExecTier::Interpret`]).
-pub fn run_kernel_tiered(
-    kernel: CaffeinemarkKernel,
-    engine: &mut TaintEngine,
-    scale: u32,
-    tier: ExecTier,
-) -> (CaffeinemarkResult, TierTelemetry) {
-    let image = kernel.build(scale);
-    let compiled = match tier {
-        ExecTier::Interpret => None,
-        ExecTier::Blocks => Some(CompiledImage::compile(&image)),
-    };
-    run_kernel_prebuilt(kernel, &image, compiled.as_ref(), engine)
-}
-
-/// [`run_kernel_tiered`] against an already-built (and, for the block
-/// tier, already-compiled) image — the shape benchmark loops want, so
-/// build/compile cost stays out of the measured region.
+/// Runs one kernel against an already-built image: on the interpreter
+/// when `compiled` is `None`, else on the block tier. By the tier
+/// contract the retired counters (and thus the score) are identical to
+/// [`run_kernel`]. Taking the image and compiled code prebuilt keeps
+/// build and compile cost out of a caller's timed region. Returns the
+/// tier telemetry so callers can verify fast-path coverage (all zeros
+/// on the interpreter).
 pub fn run_kernel_prebuilt(
     kernel: CaffeinemarkKernel,
     image: &AppImage,
@@ -358,13 +343,22 @@ mod tests {
 
     #[test]
     fn block_tier_matches_interpreter_counters_on_every_kernel() {
+        // Every engine at scale 1, plus Figure 13's scale with no taint.
+        let cases: [(fn() -> TaintEngine, u32); 4] = [
+            (TaintEngine::none, 1),
+            (TaintEngine::asymmetric, 1),
+            (TaintEngine::full, 1),
+            (TaintEngine::none, 8),
+        ];
         for k in CaffeinemarkKernel::ALL {
-            for mk in [TaintEngine::none, TaintEngine::asymmetric, TaintEngine::full] {
-                let base = run_kernel(k, &mut mk(), 1);
-                let (tiered, tel) = run_kernel_tiered(k, &mut mk(), 1, ExecTier::Blocks);
-                assert_eq!(base.cycles, tiered.cycles, "{k:?} cycles");
-                assert_eq!(base.instrs, tiered.instrs, "{k:?} instrs");
-                assert!(tel.block_runs > 0, "{k:?} must run blocks: {tel:?}");
+            for (mk, scale) in cases {
+                let base = run_kernel(k, &mut mk(), scale);
+                let image = k.build(scale);
+                let compiled = CompiledImage::compile(&image);
+                let (tiered, tel) = run_kernel_prebuilt(k, &image, Some(&compiled), &mut mk());
+                assert_eq!(base.cycles, tiered.cycles, "{k:?} cycles at scale {scale}");
+                assert_eq!(base.instrs, tiered.instrs, "{k:?} instrs at scale {scale}");
+                assert!(tel.block_runs > 0, "{k:?} must run blocks at scale {scale}: {tel:?}");
             }
         }
     }
@@ -372,7 +366,10 @@ mod tests {
     #[test]
     fn hot_kernels_retire_mostly_through_the_fast_path() {
         for k in [CaffeinemarkKernel::Loop, CaffeinemarkKernel::Logic, CaffeinemarkKernel::Sieve] {
-            let (_, tel) = run_kernel_tiered(k, &mut TaintEngine::none(), 1, ExecTier::Blocks);
+            let image = k.build(1);
+            let compiled = CompiledImage::compile(&image);
+            let (_, tel) =
+                run_kernel_prebuilt(k, &image, Some(&compiled), &mut TaintEngine::none());
             assert!(
                 tel.fast_insns > 4 * tel.stepped_insns,
                 "{k:?}: fast path must dominate: {tel:?}"

@@ -1,58 +1,18 @@
-//! Figure 13: Caffeinemark scores under the three taint configurations,
-//! plus the execution-tier comparison (interpreter vs block tier).
+//! Figure 13: Caffeinemark scores under the three taint configurations.
 //!
 //! The paper runs CaffeineMark on the phone with (a) stock Android, (b)
 //! TaintDroid-style full tainting, (c) TinMan's asymmetric tainting, and
 //! reports per-kernel scores. Its headline numbers: asymmetric averages
 //! ~9.6% overhead, full ~20.1%, with the String kernel worst (string-op
 //! optimizations disabled + high heap-to-stack ratio).
-//!
-//! The tier section is this reproduction's own claim: the block-compiled
-//! tier retires bit-identical simulated counters (asserted here on every
-//! kernel) while spending less host wall time per run. `--json-out
-//! [PATH]` writes the schema'd `tinman.caffeinemark/v1` record; the
-//! committed baseline lives at `BENCH_caffeinemark.json`.
 
-use std::time::Instant;
-
-use tinman_apps::caffeinemark::{run_kernel, run_kernel_prebuilt, CaffeinemarkKernel};
+use tinman_apps::caffeinemark::{run_kernel, CaffeinemarkKernel};
 use tinman_bench::{banner, emit_json};
 use tinman_taint::TaintEngine;
-use tinman_vm::CompiledImage;
 
 const SCALE: u32 = 8;
-/// Timed repetitions per (kernel, tier); the median is reported.
-const REPS: usize = 7;
-
-/// Median host wall time of one prebuilt-kernel run, in nanoseconds.
-fn median_wall_ns(
-    kernel: CaffeinemarkKernel,
-    image: &tinman_vm::AppImage,
-    compiled: Option<&CompiledImage>,
-) -> u64 {
-    let mut samples: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let mut engine = TaintEngine::none();
-            let t0 = Instant::now();
-            let _ = run_kernel_prebuilt(kernel, image, compiled, &mut engine);
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn main() {
-    let json_out = {
-        let mut args = std::env::args().skip(1);
-        match args.next().as_deref() {
-            Some("--json-out") => {
-                Some(args.next().unwrap_or_else(|| "BENCH_caffeinemark.json".to_owned()))
-            }
-            _ => None,
-        }
-    };
-
     banner(
         "Figure 13 — Caffeinemark under none / full / asymmetric tainting",
         "TinMan (EuroSys'15) §6.1, Figure 13",
@@ -102,60 +62,9 @@ fn main() {
     );
     println!("\npaper: full-taint avg 20.1%, asymmetric avg 9.6%, String worst");
 
-    // ---- execution tiers: interpreter vs block-compiled (host time) ----
-    println!();
-    println!("Execution tier — interpreter vs block tier (host wall time, taint=none)");
-    println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>11} {:>9}",
-        "kernel", "interp(ms)", "blocks(ms)", "speedup", "fast-path", "deopts"
-    );
-    let mut tier_rows = Vec::new();
-    let mut log_speedup_sum = 0.0;
-    for kernel in CaffeinemarkKernel::ALL {
-        let image = kernel.build(SCALE);
-        let compiled = CompiledImage::compile(&image);
-
-        // The tier contract, asserted before timing anything: identical
-        // retired counters under every engine.
-        let (ref_r, _) = run_kernel_prebuilt(kernel, &image, None, &mut TaintEngine::none());
-        let (tier_r, telemetry) =
-            run_kernel_prebuilt(kernel, &image, Some(&compiled), &mut TaintEngine::none());
-        assert_eq!(ref_r.cycles, tier_r.cycles, "{} cycles diverged", kernel.name());
-        assert_eq!(ref_r.instrs, tier_r.instrs, "{} instrs diverged", kernel.name());
-
-        let interp_ns = median_wall_ns(kernel, &image, None);
-        let blocks_ns = median_wall_ns(kernel, &image, Some(&compiled));
-        let speedup = interp_ns as f64 / blocks_ns as f64;
-        log_speedup_sum += speedup.ln();
-        let fast_frac = telemetry.fast_insns as f64
-            / (telemetry.fast_insns + telemetry.stepped_insns).max(1) as f64;
-        println!(
-            "{:<10} {:>12.2} {:>12.2} {:>8.2}x {:>10.1}% {:>9}",
-            kernel.name(),
-            interp_ns as f64 / 1e6,
-            blocks_ns as f64 / 1e6,
-            speedup,
-            100.0 * fast_frac,
-            telemetry.deopts
-        );
-        tier_rows.push(serde_json::json!({
-            "kernel": kernel.name(),
-            "interp_wall_ns": interp_ns,
-            "blocks_wall_ns": blocks_ns,
-            "speedup": speedup,
-            "fast_insn_fraction": fast_frac,
-            "block_runs": telemetry.block_runs,
-            "deopts": telemetry.deopts,
-            "counters_identical": true,
-        }));
-    }
-    let geomean = (log_speedup_sum / n).exp();
-    println!("----------------------------------------------------------------");
-    println!("{:<10} {:>12} {:>12} {:>8.2}x  (geomean)", "overall", "", "", geomean);
-
     let record = serde_json::json!({
         "schema": "tinman.caffeinemark/v1",
-        "config": { "scale": SCALE, "reps": REPS },
+        "config": { "scale": SCALE },
         "taint_overhead": {
             "rows": rows,
             "avg_overhead_full_pct": avg_full,
@@ -163,15 +72,6 @@ fn main() {
             "paper_avg_full_pct": 20.1,
             "paper_avg_asym_pct": 9.6,
         },
-        "tier": {
-            "rows": tier_rows,
-            "geomean_speedup": geomean,
-        },
     });
-    if let Some(path) = json_out.as_deref() {
-        let blob = serde_json::to_string_pretty(&record).expect("serialize record");
-        std::fs::write(path, blob + "\n").expect("write --json-out file");
-        println!("\nwrote {path}");
-    }
     emit_json("fig13_caffeinemark", record);
 }

@@ -5,11 +5,11 @@
 //! Usage: `fleet_throughput [--sessions N] [--workers N] [--nodes N]
 //! [--seed N] [--down NODE ...] [--trace PATH] [--chaos [PLAN]]
 //! [--chaos-seed N] [--tenants N] [--deny DOMAIN ...] [--unattested NODE
-//! ...] [--topology] [--regions N] [--json-out [PATH]]`
+//! ...] [--topology] [--regions N]`
 //!
-//! The simulated aggregate is bit-identical for any `--workers` value;
-//! only the wall-clock fields change. Run with `--workers 1` and
-//! `--workers 8` and diff the `simulated` blobs to check.
+//! The report is simulated: the `JSON:` line is bit-identical for any
+//! `--workers` value. Run with `--workers 1` and `--workers 8` and diff
+//! the two lines to check.
 //!
 //! Every run goes through the one fleet executor: each session attempt
 //! is residue-scanned and vault-audited, so the `chaos`, `vault` and
@@ -56,10 +56,6 @@
 //! closed as `no_region`. A `region` summary line (migrations,
 //! evacuations, region failovers, migration residue, no-region kills)
 //! appears whenever `--regions` is above 1 or a session migrated.
-//!
-//! `--json-out [PATH]` additionally writes a schema'd benchmark record
-//! (throughput, latency percentiles, bytes synced, tenancy counters) to
-//! PATH — default `BENCH_fleet_throughput.json` — for baseline diffing.
 
 use tinman_bench::{banner, emit_json};
 use tinman_chaos::ChaosPlan;
@@ -80,7 +76,6 @@ struct Args {
     unattested: Vec<usize>,
     topology: bool,
     regions: u32,
-    json_out: Option<String>,
 }
 
 /// Pops the flag's required value out of `argv`.
@@ -105,7 +100,6 @@ fn parse_args() -> Args {
         unattested: Vec::new(),
         topology: false,
         regions: 1,
-        json_out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -138,16 +132,6 @@ fn parse_args() -> Args {
             }
             "--topology" => args.topology = true,
             "--regions" => args.regions = take(&argv, &mut i, &flag).parse().expect("--regions"),
-            "--json-out" => {
-                // Optional value, same shape as --chaos: with no PATH the
-                // record lands in BENCH_fleet_throughput.json.
-                let named = argv.get(i).filter(|v| !v.starts_with("--")).cloned();
-                if named.is_some() {
-                    i += 1;
-                }
-                args.json_out =
-                    Some(named.unwrap_or_else(|| "BENCH_fleet_throughput.json".to_owned()));
-            }
             other => panic!("unknown flag {other}"),
         }
     }
@@ -310,75 +294,7 @@ fn main() {
             n.breaker_closed, n.breaker_open, n.breaker_half_open
         );
     }
-    println!(
-        "throughput: {:.2} sessions/sim-s | {:.2} sessions/wall-s ({} workers, {:.2}s wall)",
-        report.sim_throughput, report.wall_throughput, report.workers, report.wall_secs
-    );
+    println!("throughput: {:.2} sessions/sim-s", report.sim_throughput);
 
-    if let Some(path) = parsed.json_out.as_deref() {
-        let record = bench_record(&parsed, &report);
-        let blob = serde_json::to_string_pretty(&record).expect("serialize bench record");
-        std::fs::write(path, blob + "\n").expect("write --json-out file");
-        println!("bench record -> {path}");
-    }
-
-    emit_json("fleet_throughput", report.to_value());
-}
-
-/// The schema'd benchmark record `--json-out` writes: a stable,
-/// versioned subset for baseline diffing — throughput, latency
-/// percentiles, bytes synced, and (when tenancy is on) the tenant
-/// isolation counters.
-fn bench_record(parsed: &Args, report: &tinman_fleet::FleetReport) -> serde_json::Value {
-    serde_json::json!({
-        "schema": "tinman.fleet_throughput/v1",
-        "config": {
-            "sessions": parsed.sessions as u64,
-            "workers": parsed.workers as u64,
-            "nodes": parsed.nodes as u64,
-            "tenants": parsed.tenants as u64,
-            "chaos": parsed.chaos,
-            "topology": parsed.topology,
-            "regions": parsed.regions as u64,
-        },
-        "throughput": {
-            "sessions_per_sim_sec": report.sim_throughput,
-            "sessions_per_wall_sec": report.wall_throughput,
-            "ok": report.ok,
-            "failed": report.failed,
-        },
-        "latency_ns": {
-            "p50": report.latency.p50.as_nanos(),
-            "p95": report.latency.p95.as_nanos(),
-            "p99": report.latency.p99.as_nanos(),
-            "mean": report.latency.mean.as_nanos(),
-        },
-        "bytes_synced": {
-            "tx": report.tx_bytes,
-            "rx": report.rx_bytes,
-            "dsm_syncs": report.dsm_syncs,
-        },
-        "net": {
-            "handoffs": report.handoffs,
-            "nat_rewrites": report.nat_rewrites,
-            "nat_rebinds": report.nat_rebinds,
-            "dns_faults": report.dns_faults,
-            "route_drops": report.route_drops,
-        },
-        "region": {
-            "migrations": report.migrations,
-            "evacuations": report.evacuations,
-            "region_failovers": report.region_failovers,
-            "migration_residue": report.migration_residue,
-            "no_region_kills": report.no_region_kills,
-        },
-        "tenancy": {
-            "policy_denials": report.policy_denials,
-            "cross_tenant_residue": report.cross_tenant_residue,
-            "unattested_refusals": report.unattested_refusals,
-            "tenant_key_rotations": report.tenant_key_rotations,
-            "wal_plaintexts": report.wal_plaintexts,
-            "wal_device_leaks": report.wal_device_leaks,
-        },
-    })
+    emit_json("fleet_throughput", report.simulated_value());
 }

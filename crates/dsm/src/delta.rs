@@ -158,12 +158,6 @@ impl HeapDelta {
     pub fn carries_cor(&self) -> bool {
         self.entries.iter().any(|e| matches!(e, DeltaEntry::Cor { .. }))
     }
-
-    /// Scans the serialized wire form for a plaintext needle — used by the
-    /// security tests to prove cor content never crosses the network.
-    pub fn wire_contains(&self, needle: &str) -> bool {
-        serde_json::to_string(self).map(|s| s.contains(needle)).unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +168,11 @@ mod tests {
 
     fn tainted() -> TaintSet {
         Label::new(1).unwrap().as_set()
+    }
+
+    /// Scans the serialized wire form for a plaintext needle.
+    fn wire_contains(delta: &HeapDelta, needle: &str) -> bool {
+        serde_json::to_string(delta).expect("a delta serializes").contains(needle)
     }
 
     #[test]
@@ -240,8 +239,8 @@ mod tests {
         let mut mat = PassthroughMaterializer;
         let delta = HeapDelta::build_full(&src, &mut mat).unwrap();
         assert!(delta.carries_cor());
-        assert!(!delta.wire_contains("hunter2"), "cor plaintext must not cross the wire");
-        assert!(delta.wire_contains("public"));
+        assert!(!wire_contains(&delta, "hunter2"), "cor plaintext must not cross the wire");
+        assert!(wire_contains(&delta, "public"));
     }
 
     #[test]

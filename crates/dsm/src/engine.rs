@@ -115,12 +115,6 @@ impl MigrationPacket {
     pub fn wire_bytes(&self) -> u64 {
         serde_json::to_vec(self).map(|v| v.len() as u64).unwrap_or(0)
     }
-
-    /// True if the serialized form contains `needle` — the security tests'
-    /// wire-sniffing check.
-    pub fn wire_contains(&self, needle: &str) -> bool {
-        serde_json::to_string(self).map(|s| s.contains(needle)).unwrap_or(false)
-    }
 }
 
 /// A scheduled DSM outage: synchronizations attempted while the clock is
@@ -446,6 +440,11 @@ mod tests {
     use tinman_taint::{Label, TaintSet};
     use tinman_vm::{FuncId, ObjId, Value};
 
+    /// True if the packet's serialized form contains `needle`.
+    fn wire_contains(packet: &MigrationPacket, needle: &str) -> bool {
+        serde_json::to_string(packet).expect("a packet serializes").contains(needle)
+    }
+
     fn machine_with_data() -> Machine {
         let mut m = Machine::new();
         m.heap.alloc_str("shared state");
@@ -599,7 +598,7 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        assert!(!p.wire_contains("plaintext-cor-99"));
+        assert!(!wire_contains(&p, "plaintext-cor-99"));
     }
 
     #[test]

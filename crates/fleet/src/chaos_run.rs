@@ -31,8 +31,6 @@
 //! has migrated. The device keeps only placeholders; no retry path ever
 //! relaxes that.
 
-use std::time::Instant;
-
 use tinman_chaos::{
     session_faults, BreakerSchedule, BreakerState, ChaosPlan, DeliveryLedger, SessionFaults,
     VaultCrashKind,
@@ -900,11 +898,11 @@ pub fn execute_with_chaos(
 /// per-node rows. Scheduler and session events land in `obs.trace`,
 /// counters in `obs.metrics`.
 ///
-/// The simulated aggregate ([`FleetReport::simulated_value`]) is
-/// bit-identical for any worker count: every session's result depends
-/// only on its spec, the schedule, and its (deterministic) placement;
-/// outcomes are re-sorted by session id before aggregation, and
-/// wall-clock never enters the simulated fields.
+/// The report ([`FleetReport::simulated_value`]) is bit-identical for
+/// any worker count: every session's result depends only on its spec,
+/// the schedule, and its (deterministic) placement; outcomes are
+/// re-sorted by session id before aggregation, and the executor never
+/// reads the host clock.
 pub fn run_fleet_chaos(
     cfg: &FleetConfig,
     plan: &ChaosPlan,
@@ -917,15 +915,11 @@ pub fn run_fleet_chaos(
     if obs.trace.is_enabled() {
         schedule.emit_transitions(pool.len(), cfg.sessions as u64, obs);
     }
-    let start = Instant::now();
-
     let mut outcomes = run_worker_pool(cfg.workers, &specs, |spec| {
         execute_with_chaos(cfg, &pool, spec, &schedule, obs)
     });
-
-    let wall_secs = start.elapsed().as_secs_f64();
     outcomes.sort_by_key(|o| o.id);
-    let mut report = FleetReport::aggregate(cfg, &pool, outcomes, wall_secs);
+    let mut report = FleetReport::aggregate(&pool, outcomes);
     for (node, row) in report.per_node.iter_mut().enumerate() {
         (row.breaker_closed, row.breaker_open, row.breaker_half_open) =
             schedule.breaker.time_in_state(node);

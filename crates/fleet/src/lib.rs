@@ -48,9 +48,9 @@
 //! Every session's **simulated** result is a pure function of the fleet
 //! seed, the session id, and the static topology (node count, fault
 //! plan). Worker count, admission stalls, and OS scheduling affect only
-//! the wall-clock fields. Concretely:
-//! [`FleetReport::simulated_value`] serializes to identical bytes for
-//! `workers = 1` and `workers = 8` — the tests enforce it.
+//! how long a run takes on the host, and the report holds no host time.
+//! Concretely: [`FleetReport::simulated_value`] serializes to identical
+//! bytes for `workers = 1` and `workers = 8` — the tests enforce it.
 
 pub mod chaos_run;
 pub mod failure;

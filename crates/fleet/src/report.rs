@@ -1,18 +1,17 @@
 //! Fleet-wide aggregation: throughput, latency percentiles, offload
 //! totals, and per-node utilization, with a JSON export.
 //!
-//! The report splits into a **simulated** subset (a pure function of the
-//! fleet config — identical for any worker count) and wall-clock fields
-//! (`wall_secs`, `wall_throughput`), which measure the host machine.
-//! [`FleetReport::simulated_value`] serializes only the former; the
-//! determinism tests compare those byte-for-byte across worker counts.
+//! Every field is simulated: a pure function of the fleet config,
+//! identical for any worker count. [`FleetReport::simulated_value`] is
+//! the report's one serialization; the determinism tests compare it
+//! byte-for-byte across worker counts. Host wall time is measured by the
+//! repository benchmark, never here.
 
 use serde_json::Value;
 use tinman_sim::SimDuration;
 
 use crate::pool::NodePool;
 use crate::session::SessionOutcome;
-use crate::spec::FleetConfig;
 
 /// Latency distribution over the successful sessions (simulated time,
 /// backoff included).
@@ -206,12 +205,6 @@ pub struct FleetReport {
     pub sim_makespan: SimDuration,
     /// `ok / sim_makespan` in sessions per simulated second.
     pub sim_throughput: f64,
-    /// Worker threads used (wall-clock only).
-    pub workers: usize,
-    /// Host wall-clock seconds for the whole run.
-    pub wall_secs: f64,
-    /// `ok / wall_secs` in sessions per wall-clock second.
-    pub wall_throughput: f64,
     /// Every session's outcome, sorted by session id.
     pub outcomes: Vec<SessionOutcome>,
 }
@@ -219,12 +212,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Folds sorted outcomes into the aggregate. `outcomes` must already
     /// be sorted by session id (the scheduler guarantees it).
-    pub fn aggregate(
-        cfg: &FleetConfig,
-        pool: &NodePool,
-        outcomes: Vec<SessionOutcome>,
-        wall_secs: f64,
-    ) -> FleetReport {
+    pub fn aggregate(pool: &NodePool, outcomes: Vec<SessionOutcome>) -> FleetReport {
         let ok = outcomes.iter().filter(|o| o.success).count() as u64;
         let failed = outcomes.len() as u64 - ok;
         let attempts: u64 = outcomes.iter().map(|o| u64::from(o.attempts)).sum();
@@ -329,16 +317,13 @@ impl FleetReport {
             } else {
                 ok as f64 / sim_makespan.as_secs_f64()
             },
-            workers: cfg.workers,
-            wall_secs,
-            wall_throughput: if wall_secs > 0.0 { ok as f64 / wall_secs } else { 0.0 },
             outcomes,
         }
     }
 
-    /// The deterministic subset: everything that is a pure function of
-    /// the fleet config. Two runs of the same config — at any worker
-    /// count — serialize this to identical bytes.
+    /// The report as JSON: every aggregate field, without the
+    /// per-session `outcomes`. Two runs of the same config — at any
+    /// worker count — serialize this to identical bytes.
     pub fn simulated_value(&self) -> Value {
         let mut map: Vec<(String, Value)> = Vec::new();
         let mut put = |k: &str, v: Value| map.push((k.to_owned(), v));
@@ -429,23 +414,6 @@ impl FleetReport {
         put("sim_throughput", Value::F64(self.sim_throughput));
         Value::Map(map)
     }
-
-    /// The full report: the simulated subset plus the wall-clock fields.
-    pub fn to_value(&self) -> Value {
-        let mut map = match self.simulated_value() {
-            Value::Map(m) => m,
-            _ => unreachable!("simulated_value always builds a map"),
-        };
-        map.push(("workers".to_owned(), Value::U64(self.workers as u64)));
-        map.push(("wall_secs".to_owned(), Value::F64(self.wall_secs)));
-        map.push(("wall_throughput".to_owned(), Value::F64(self.wall_throughput)));
-        Value::Map(map)
-    }
-
-    /// Pretty-printed JSON of [`Self::to_value`].
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).unwrap_or_else(|_| "{}".to_owned())
-    }
 }
 
 #[cfg(test)]
@@ -474,7 +442,6 @@ mod tests {
 
     #[test]
     fn aggregate_totals_and_percentiles() {
-        let cfg = FleetConfig::new(4, 2);
         let pool = NodePool::new(2, 4, &FaultPlan::default()).unwrap();
         let outcomes = vec![
             outcome(0, 0, 100),
@@ -487,7 +454,7 @@ mod tests {
                 ..SessionOutcome::default()
             },
         ];
-        let r = FleetReport::aggregate(&cfg, &pool, outcomes, 0.5);
+        let r = FleetReport::aggregate(&pool, outcomes);
         assert_eq!(r.sessions, 4);
         assert_eq!(r.ok, 3);
         assert_eq!(r.failed, 1);
@@ -500,23 +467,5 @@ mod tests {
         assert_eq!(r.sim_makespan, SimDuration::from_millis(400));
         assert!((r.per_node[0].utilization - 1.0).abs() < 1e-9);
         assert!((r.per_node[1].utilization - 0.5).abs() < 1e-9);
-        assert_eq!(r.wall_throughput, 6.0);
-    }
-
-    #[test]
-    fn simulated_value_excludes_wall_clock() {
-        let cfg = FleetConfig::new(1, 8);
-        let pool = NodePool::new(1, 1, &FaultPlan::default()).unwrap();
-        let a = FleetReport::aggregate(&cfg, &pool, vec![outcome(0, 0, 50)], 0.1);
-        let b = FleetReport::aggregate(&cfg, &pool, vec![outcome(0, 0, 50)], 9.9);
-        assert_eq!(
-            serde_json::to_string(&a.simulated_value()).unwrap(),
-            serde_json::to_string(&b.simulated_value()).unwrap(),
-            "wall clock must not leak into the simulated subset"
-        );
-        assert_ne!(
-            serde_json::to_string(&a.to_value()).unwrap(),
-            serde_json::to_string(&b.to_value()).unwrap()
-        );
     }
 }

@@ -52,5 +52,5 @@ pub use insn::Insn;
 pub use interp::{ExecConfig, ExecEvent, Interp, NativeCtx, NativeHost, NativeOutcome};
 pub use machine::{ExecStats, Machine, MachineStatus};
 pub use program::{AppImage, ClassDef, ClassId, FuncId, Function, NativeId, StrIdx};
-pub use tier::{run_tiered, CompileStats, CompiledImage, ExecTier, PassPipeline, TierTelemetry};
+pub use tier::{run_tiered, CompileStats, CompiledImage, PassPipeline, TierTelemetry};
 pub use value::{ObjId, Value};

@@ -44,27 +44,6 @@ use crate::machine::Machine;
 use crate::program::AppImage;
 use tinman_taint::TaintEngine;
 
-/// Which execution tier runs a machine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecTier {
-    /// The per-opcode interpreter (the reference semantics).
-    #[default]
-    Interpret,
-    /// The block-compiled tier; deoptimizes to the interpreter at any
-    /// trigger, kill, or unsupported opcode.
-    Blocks,
-}
-
-impl ExecTier {
-    /// Stable lower-case name for reports and JSON schemas.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecTier::Interpret => "interp",
-            ExecTier::Blocks => "blocks",
-        }
-    }
-}
-
 /// A function's worth of decoded, optimized basic blocks.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledFunc {
