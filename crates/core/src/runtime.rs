@@ -578,13 +578,7 @@ impl TinmanRuntime {
         node.machine.frames.clear();
         node.machine.status = tinman_vm::MachineStatus::Faulted;
         self.metrics.incr("guard.kills");
-        self.metrics.incr(match reason.column() {
-            "fuel" => "guard.fuel_exhausted",
-            "heap" => "guard.heap_exhausted",
-            "depth" => "guard.depth_exhausted",
-            "dsm" => "guard.dsm_exhausted",
-            _ => "guard.deadline_exhausted",
-        });
+        self.metrics.incr(reason.budget().1);
         if self.trace.is_enabled() {
             self.trace.emit_on(
                 self.trace_track,

@@ -80,7 +80,7 @@ pub use hostile::{
 pub use membership::{MembershipSchedule, MembershipState, CATCHUP_SESSIONS};
 pub use pool::{CapacityPermit, NoSuchNode, NodePool, NodeShard};
 pub use region::RegionMap;
-pub use report::{FleetReport, LatencyStats, NodeReport};
+pub use report::{FleetReport, LatencyStats, NodeReport, Violation};
 pub use retry::{migration_policy, BackoffShape, RetryBudget, RetryPolicy};
 pub use sched::FleetObs;
 pub use session::{

@@ -5,9 +5,13 @@
 //! identical for any worker count. [`FleetReport::simulated_value`] is
 //! the report's one serialization; the determinism tests compare it
 //! byte-for-byte across worker counts. Host wall time is measured by the
-//! repository benchmark, never here.
+//! repository benchmark, never here. [`FleetReport::violations`] is the
+//! one checker of the fleet's fail-closed invariants.
+
+use std::fmt;
 
 use serde_json::Value;
+use tinman_guard::BUDGET_COLUMNS;
 use tinman_sim::SimDuration;
 
 use crate::pool::NodePool;
@@ -117,8 +121,10 @@ pub struct FleetReport {
     /// Lost-cor incidents (recovered store diverged from its
     /// committed-prefix reference). Acceptance bar: zero.
     pub lost_cors: u64,
-    /// Sessions served from a stale vault replica. Acceptance bar: zero —
-    /// cor-aware failover catches replicas up or fails closed instead.
+    /// Sessions served from a stale vault replica. Always 0: the prepare
+    /// stage catches a lagging replica up inside the deadline or fails
+    /// the session closed as `stale_replica`, so no outcome can record a
+    /// stale serve. The column stays in the report for its readers.
     pub stale_serves: u64,
     /// LSNs anti-entropy replayed to lagging replicas, fleet-wide.
     pub vault_catchup_lsns: u64,
@@ -209,7 +215,108 @@ pub struct FleetReport {
     pub outcomes: Vec<SessionOutcome>,
 }
 
+/// One broken fail-closed invariant, as [`FleetReport::violations`]
+/// finds it in a report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Violation {
+    /// Cor bytes on a device host (`residue_violations`).
+    DeviceResidue(u64),
+    /// Cor bytes on a source node heap after a migration scrub
+    /// (`migration_residue`).
+    MigrationResidue(u64),
+    /// Committed cor records a vault recovery lost (`lost_cors`).
+    LostCors(u64),
+    /// Session secrets in vault bytes and on a device surface
+    /// (`wal_device_leaks`).
+    WalDeviceLeaks(u64),
+    /// Sealed vault blobs a foreign tenant's keys authenticated
+    /// (`cross_tenant_residue`).
+    CrossTenantResidue(u64),
+    /// `ok + fail_closed != sessions`.
+    Unaccounted {
+        /// Sessions served.
+        ok: u64,
+        /// Sessions failed closed.
+        fail_closed: u64,
+        /// Sessions driven.
+        sessions: u64,
+    },
+    /// A session both served and failed closed (`success == true`), or
+    /// neither (`success == false`).
+    Outcome {
+        /// The session.
+        session: u64,
+        /// Whether it was served.
+        success: bool,
+    },
+    /// `budget_exhaustions` does not sum to `guest_kills`.
+    UnattributedKills {
+        /// Kills across the budget columns.
+        attributed: u64,
+        /// Guests the guard killed.
+        guest_kills: u64,
+    },
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Violation::DeviceResidue(n) => write!(f, "residue_violations = {n}, must be 0"),
+            Violation::MigrationResidue(n) => write!(f, "migration_residue = {n}, must be 0"),
+            Violation::LostCors(n) => write!(f, "lost_cors = {n}, must be 0"),
+            Violation::WalDeviceLeaks(n) => write!(f, "wal_device_leaks = {n}, must be 0"),
+            Violation::CrossTenantResidue(n) => write!(f, "cross_tenant_residue = {n}, must be 0"),
+            Violation::Unaccounted { ok, fail_closed, sessions } => {
+                write!(f, "ok {ok} + fail_closed {fail_closed} != sessions {sessions}")
+            }
+            Violation::Outcome { session, success: true } => {
+                write!(f, "session {session} was served and failed closed")
+            }
+            Violation::Outcome { session, success: false } => {
+                write!(f, "session {session} was neither served nor failed closed")
+            }
+            Violation::UnattributedKills { attributed, guest_kills } => {
+                write!(f, "budget_exhaustions sum to {attributed}, guest_kills is {guest_kills}")
+            }
+        }
+    }
+}
+
 impl FleetReport {
+    /// Every fail-closed invariant this report breaks; empty for a sound
+    /// run. The leak columns must be zero, every session must be exactly
+    /// one of served or failed closed, and every guest kill must land in
+    /// exactly one budget column.
+    pub fn violations(&self) -> Vec<Violation> {
+        let leaks = [
+            (self.residue_violations, Violation::DeviceResidue as fn(u64) -> Violation),
+            (self.migration_residue, Violation::MigrationResidue),
+            (self.lost_cors, Violation::LostCors),
+            (self.wal_device_leaks, Violation::WalDeviceLeaks),
+            (self.cross_tenant_residue, Violation::CrossTenantResidue),
+        ];
+        let mut found: Vec<Violation> =
+            leaks.into_iter().filter(|&(n, _)| n > 0).map(|(n, leak)| leak(n)).collect();
+        if self.ok + self.fail_closed != self.sessions {
+            found.push(Violation::Unaccounted {
+                ok: self.ok,
+                fail_closed: self.fail_closed,
+                sessions: self.sessions,
+            });
+        }
+        found.extend(
+            self.outcomes
+                .iter()
+                .filter(|o| o.success == o.fail_closed)
+                .map(|o| Violation::Outcome { session: o.id, success: o.success }),
+        );
+        let attributed = self.budget_exhaustions.iter().sum();
+        if attributed != self.guest_kills {
+            found.push(Violation::UnattributedKills { attributed, guest_kills: self.guest_kills });
+        }
+        found
+    }
+
     /// Folds sorted outcomes into the aggregate. `outcomes` must already
     /// be sorted by session id (the scheduler guarantees it).
     pub fn aggregate(pool: &NodePool, outcomes: Vec<SessionOutcome>) -> FleetReport {
@@ -271,7 +378,7 @@ impl FleetReport {
             vault_recoveries: sum(|o| o.vault_recoveries),
             torn_tail_repairs: sum(|o| o.torn_tail_repairs),
             lost_cors: sum(|o| o.lost_cors),
-            stale_serves: sum(|o| o.stale_serves),
+            stale_serves: 0,
             vault_catchup_lsns: sum(|o| o.vault_catchup_lsns),
             wal_plaintexts: sum(|o| o.wal_plaintexts),
             wal_device_leaks: sum(|o| o.wal_device_leaks),
@@ -292,13 +399,11 @@ impl FleetReport {
             guest_kills: outcomes.iter().filter(|o| o.guest_kill.is_some()).count() as u64,
             shed_sessions: outcomes.iter().filter(|o| o.shed).count() as u64,
             budget_exhaustions: {
-                let col = |c: &str| -> u64 {
-                    outcomes
-                        .iter()
-                        .filter(|o| o.guest_kill.is_some_and(|r| r.column() == c))
-                        .count() as u64
-                };
-                [col("fuel"), col("heap"), col("depth"), col("dsm"), col("deadline")]
+                let mut columns = [0; 5];
+                for reason in outcomes.iter().filter_map(|o| o.guest_kill) {
+                    columns[reason.budget().0] += 1;
+                }
+                columns
             },
             offloads: sum(|o| o.offloads),
             node_methods: sum(|o| o.node_methods),
@@ -359,7 +464,7 @@ impl FleetReport {
         put(
             "budget_exhaustions",
             Value::Map(
-                ["fuel", "heap", "depth", "dsm", "deadline"]
+                BUDGET_COLUMNS
                     .iter()
                     .zip(self.budget_exhaustions)
                     .map(|(k, v)| ((*k).to_owned(), Value::U64(v)))
@@ -420,6 +525,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use crate::failure::FaultPlan;
+    use tinman_guard::KillReason;
 
     fn outcome(id: u64, node: usize, latency_ms: u64) -> SessionOutcome {
         SessionOutcome {
@@ -438,6 +544,53 @@ mod tests {
             deliveries: 1,
             ..SessionOutcome::default()
         }
+    }
+
+    #[test]
+    fn violations_names_every_broken_invariant() {
+        let pool = NodePool::new(2, 4, &FaultPlan::default()).unwrap();
+        let clean = vec![
+            outcome(0, 0, 100),
+            SessionOutcome {
+                id: 1,
+                fail_closed: true,
+                guest_kill: Some(KillReason::DsmBytes),
+                ..SessionOutcome::default()
+            },
+        ];
+        assert!(FleetReport::aggregate(&pool, clean).violations().is_empty());
+
+        let leaky = SessionOutcome {
+            residue_violations: 1,
+            migration_residue: 2,
+            lost_cors: 3,
+            wal_device_leaks: 4,
+            cross_tenant_residue: 5,
+            ..outcome(0, 0, 100)
+        };
+        let both = SessionOutcome { fail_closed: true, ..outcome(1, 1, 100) };
+        let neither = |id| SessionOutcome { id, ..SessionOutcome::default() };
+        let mut r = FleetReport::aggregate(&pool, vec![leaky, both, neither(2), neither(3)]);
+        // Aggregation attributes every kill by construction; break it by
+        // hand to exercise the check.
+        r.guest_kills = 1;
+        assert_eq!(
+            r.violations(),
+            [
+                Violation::DeviceResidue(1),
+                Violation::MigrationResidue(2),
+                Violation::LostCors(3),
+                Violation::WalDeviceLeaks(4),
+                Violation::CrossTenantResidue(5),
+                Violation::Unaccounted { ok: 2, fail_closed: 1, sessions: 4 },
+                Violation::Outcome { session: 1, success: true },
+                Violation::Outcome { session: 2, success: false },
+                Violation::Outcome { session: 3, success: false },
+                Violation::UnattributedKills { attributed: 0, guest_kills: 1 },
+            ]
+        );
+        assert_eq!(r.violations()[1].to_string(), "migration_residue = 2, must be 0");
+        assert_eq!(r.violations()[5].to_string(), "ok 2 + fail_closed 1 != sessions 4");
     }
 
     #[test]

@@ -78,10 +78,6 @@ pub struct SessionOutcome {
     /// Lost-cor incidents: a recovered store diverged from its
     /// committed-prefix reference. Must be zero.
     pub lost_cors: u64,
-    /// Attempts served from a vault replica whose watermark did not cover
-    /// this session's cor writes. Must be zero: cor-aware failover
-    /// catches the replica up or fails closed instead.
-    pub stale_serves: u64,
     /// LSNs anti-entropy replayed to lagging replicas on this session's
     /// behalf (the catch-up cost is charged into `latency`).
     pub vault_catchup_lsns: u64,

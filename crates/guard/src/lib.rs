@@ -131,18 +131,25 @@ impl KillReason {
         }
     }
 
-    /// The report column this reason is tallied under: the two DSM
-    /// flavors (syncs, bytes, resync) fold into one `dsm` column.
-    pub fn column(self) -> &'static str {
+    /// The budget this reason exhausted: its index into
+    /// [`BUDGET_COLUMNS`] and its `guard.*_exhausted` counter. The DSM
+    /// flavors (syncs, bytes, resync) share the `dsm` budget.
+    pub fn budget(self) -> (usize, &'static str) {
         match self {
-            KillReason::Fuel => "fuel",
-            KillReason::Heap => "heap",
-            KillReason::Depth => "depth",
-            KillReason::DsmSyncs | KillReason::DsmBytes | KillReason::Resync => "dsm",
-            KillReason::Deadline => "deadline",
+            KillReason::Fuel => (0, "guard.fuel_exhausted"),
+            KillReason::Heap => (1, "guard.heap_exhausted"),
+            KillReason::Depth => (2, "guard.depth_exhausted"),
+            KillReason::DsmSyncs | KillReason::DsmBytes | KillReason::Resync => {
+                (3, "guard.dsm_exhausted")
+            }
+            KillReason::Deadline => (4, "guard.deadline_exhausted"),
         }
     }
 }
+
+/// The `budget_exhaustions` report columns, indexed by
+/// [`KillReason::budget`].
+pub const BUDGET_COLUMNS: [&str; 5] = ["fuel", "heap", "depth", "dsm", "deadline"];
 
 impl fmt::Display for KillReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -301,8 +308,10 @@ mod tests {
         ];
         let names: Vec<&str> = all.iter().map(|r| r.as_str()).collect();
         assert_eq!(names, ["fuel", "heap", "depth", "dsm_syncs", "dsm_bytes", "deadline"]);
-        assert_eq!(KillReason::DsmSyncs.column(), "dsm");
-        assert_eq!(KillReason::DsmBytes.column(), "dsm");
+        for dsm in [KillReason::DsmSyncs, KillReason::DsmBytes, KillReason::Resync] {
+            assert_eq!(dsm.budget(), (3, "guard.dsm_exhausted"));
+        }
+        assert_eq!(BUDGET_COLUMNS[KillReason::Deadline.budget().0], "deadline");
         assert_eq!(format!("{}", KillReason::Fuel), "fuel");
     }
 

@@ -4,9 +4,10 @@
 //! The headline scenario mirrors the subsystem's contract: crash the
 //! primary mid-session under packet loss and a radio flap, and the fleet
 //! must finish every session via replica replay, deliver each TCP payload
-//! replacement exactly once at the origin server, leave zero cor bytes on
-//! any device host, and produce byte-identical reports across runs,
-//! worker counts, and tracing.
+//! replacement exactly once at the origin server, break no fail-closed
+//! invariant ([`FleetReport::violations`]), and report the same bytes
+//! traced or not. `tests/smoke_matrix.rs` checks every canned plan across
+//! worker counts.
 
 use tinman::chaos::{ChaosEvent, ChaosPlan};
 use tinman::fleet::{run_fleet_chaos, FleetConfig, FleetObs, FleetReport};
@@ -41,9 +42,8 @@ fn crash_primary_recovers_every_session_exactly_once() {
         report.duplicate_deliveries >= 1,
         "the replay re-sent an already-delivered payload and the origin deduped it"
     );
-    assert_eq!(report.residue_violations, 0, "no cor bytes on any device host");
     assert!(report.vault_recoveries > 0, "every attempt is durability-audited");
-    assert_eq!(report.wal_device_leaks, 0, "WAL plaintext never reaches a device surface");
+    assert_eq!(report.violations(), []);
 
     // Exactly-once: the origin server accepted the same unique delivery
     // count a fault-free run produces — replays added duplicates, never
@@ -51,16 +51,6 @@ fn crash_primary_recovers_every_session_exactly_once() {
     let baseline = run(&cfg, &ChaosPlan::empty());
     assert_eq!(report.deliveries, baseline.deliveries);
     assert_eq!(baseline.duplicate_deliveries, 0);
-}
-
-#[test]
-fn same_seed_same_plan_is_byte_identical_across_runs_and_workers() {
-    let plan = ChaosPlan::canned("crash-primary").unwrap();
-    let a = simulated(&run(&config(10, 1), &plan));
-    let b = simulated(&run(&config(10, 1), &plan));
-    assert_eq!(a, b, "two same-seed runs must serialize identically");
-    let c = simulated(&run(&config(10, 4), &plan));
-    assert_eq!(a, c, "worker count must not leak into the simulated report");
 }
 
 #[test]
@@ -94,8 +84,7 @@ fn full_partition_fails_closed_and_leaks_nothing() {
 
     assert_eq!(report.ok, 0);
     assert_eq!(report.fail_closed, report.sessions, "every session degrades fail-closed");
-    assert_eq!(report.residue_violations, 0, "degraded sessions never leak cor bytes");
-    assert_eq!(report.wal_device_leaks, 0);
+    assert_eq!(report.violations(), []);
     assert!(report.outcomes.iter().all(|o| o.fail_closed && !o.success && o.node.is_none()));
 
     let records = sink.snapshot();
@@ -145,7 +134,7 @@ fn exhausted_deadline_budget_fails_closed() {
         report.outcomes.iter().all(|o| o.attempts <= 1),
         "a blown deadline stops the replica walk immediately"
     );
-    assert_eq!(report.residue_violations, 0);
+    assert_eq!(report.violations(), []);
 }
 
 #[test]
@@ -155,24 +144,11 @@ fn vault_crash_plan_loses_no_cor_and_leaks_nothing_deviceward() {
     let report = run(&cfg, &plan);
 
     assert_eq!(report.ok, report.sessions, "crashed WALs recover; sessions still complete");
-    assert_eq!(report.lost_cors, 0, "every committed cor survives every crash schedule");
-    assert_eq!(report.stale_serves, 0, "no session is ever served from a stale replica");
-    assert_eq!(report.wal_device_leaks, 0, "WAL bytes never reach the device side");
-    assert_eq!(report.residue_violations, 0);
+    assert_eq!(report.violations(), []);
     assert!(report.vault_recoveries >= report.sessions, "every attempt recovered a vault");
     assert!(report.torn_tail_repairs > 0, "torn tails actually happened and were repaired");
     assert!(report.wal_plaintexts > 0, "node-side WALs hold plaintext — the scan bites");
     assert!(report.vault_catchup_lsns > 0, "lagging replicas anti-entropy caught up");
-}
-
-#[test]
-fn vault_crash_simulated_blob_is_worker_invariant() {
-    let plan = ChaosPlan::canned("vault-crash").unwrap();
-    let a = simulated(&run(&config(12, 1), &plan));
-    let b = simulated(&run(&config(12, 4), &plan));
-    let c = simulated(&run(&config(12, 8), &plan));
-    assert_eq!(a, b, "vault columns must not depend on worker interleaving");
-    assert_eq!(a, c);
 }
 
 #[test]
@@ -192,8 +168,7 @@ fn replica_lag_catch_up_is_charged_not_free() {
 
     assert_eq!(lagged.ok, lagged.sessions, "catch-up within budget still serves everyone");
     assert!(lagged.vault_catchup_lsns > 0);
-    assert_eq!(lagged.stale_serves, 0);
-    assert_eq!(lagged.lost_cors, 0);
+    assert_eq!(lagged.violations(), []);
     assert!(
         lagged.latency.mean > clean.latency.mean,
         "anti-entropy costs simulated time: {:?} vs {:?}",
@@ -227,10 +202,8 @@ fn stale_replica_with_no_budget_fails_closed() {
     let report = run_fleet_chaos(&cfg, &plan, &obs).expect("chaos fleet runs");
 
     assert_eq!(report.ok, 0);
-    assert_eq!(report.fail_closed, report.sessions);
-    assert_eq!(report.stale_serves, 0, "refusal, not stale service");
-    assert_eq!(report.residue_violations, 0);
-    assert_eq!(report.wal_device_leaks, 0);
+    assert_eq!(report.fail_closed, report.sessions, "refusal, not stale service");
+    assert_eq!(report.violations(), []);
 
     let records = sink.snapshot();
     let stale = records
@@ -259,8 +232,7 @@ fn tenant_key_rotation_mid_session_completes_with_resealed_vaults() {
     assert_eq!(report.ok, report.sessions, "affordable rotations never cost a session");
     assert_eq!(report.tenant_key_rotations, 2, "one rotation per tenant fired");
     assert_eq!(report.wal_plaintexts, 0, "sealed vaults stay ciphertext through rotation");
-    assert_eq!(report.cross_tenant_residue, 0);
-    assert_eq!(report.lost_cors, 0, "re-sealed records still recover exactly");
+    assert_eq!(report.violations(), [], "re-sealed records still recover exactly");
 
     let records = sink.snapshot();
     let rotations =
@@ -299,8 +271,7 @@ fn unaffordable_rotation_of_a_compromised_key_fails_closed_as_revoked() {
     assert_eq!(report.fail_closed, 2, "both rotation sessions degrade");
     assert_eq!(report.ok, report.sessions - 2, "only the rotation sessions are affected");
     assert_eq!(report.wal_plaintexts, 0);
-    assert_eq!(report.cross_tenant_residue, 0);
-    assert_eq!(report.residue_violations, 0, "fail-closed sessions leak nothing");
+    assert_eq!(report.violations(), [], "fail-closed sessions leak nothing");
 
     let records = sink.snapshot();
     let revoked: Vec<u64> = records
@@ -311,12 +282,6 @@ fn unaffordable_rotation_of_a_compromised_key_fails_closed_as_revoked() {
         })
         .collect();
     assert_eq!(revoked, vec![7], "tenant 1's compromised session refuses the revoked key");
-    for out in &report.outcomes {
-        assert!(
-            out.success || out.fail_closed,
-            "a session never serves under a revoked key: it completes re-sealed or degrades"
-        );
-    }
 }
 
 #[test]
@@ -325,10 +290,7 @@ fn wire_noise_slows_sessions_but_never_breaks_them() {
     let noisy = run(&cfg, &ChaosPlan::canned("wire-noise").unwrap());
     let clean = run(&cfg, &ChaosPlan::empty());
     assert_eq!(noisy.ok, noisy.sessions, "loss and corruption retransmit, not fail");
-    assert_eq!(noisy.fail_closed, 0);
-    assert_eq!(noisy.residue_violations, 0);
-    assert_eq!(noisy.wal_device_leaks, 0);
-    assert_eq!(noisy.lost_cors, 0);
+    assert_eq!(noisy.violations(), []);
     assert!(
         noisy.latency.mean > clean.latency.mean,
         "retransmissions and delay must cost simulated time: {:?} vs {:?}",

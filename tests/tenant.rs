@@ -7,9 +7,10 @@
 //!   separates on every input;
 //! - a blob sealed by tenant A never opens — never even authenticates —
 //!   under tenant B's keys, at any epoch, for any purpose;
-//! - a two-tenant fleet run, at any worker interleaving, reports zero
-//!   cross-tenant residue and zero plaintext at rest, and its simulated
-//!   aggregate is byte-identical across worker counts.
+//! - a two-tenant fleet run, at any worker interleaving, breaks no
+//!   fail-closed invariant (zero cross-tenant residue among them) and
+//!   holds zero plaintext at rest. `tests/smoke_matrix.rs` checks the
+//!   tenant rows byte for byte across worker counts.
 
 use proptest::prelude::*;
 
@@ -90,34 +91,10 @@ proptest! {
         let cfg = tenant_cfg(sessions, workers, seed);
         let report =
             run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
-        prop_assert_eq!(report.cross_tenant_residue, 0,
-            "tenant A's vault shard must never decrypt under tenant B's keys");
+        prop_assert_eq!(report.violations(), [],
+            "no cross-tenant residue, and sealing must not cost durability");
         prop_assert_eq!(report.wal_plaintexts, 0, "tenant vaults hold ciphertext at rest");
-        prop_assert_eq!(report.wal_device_leaks, 0);
-        prop_assert_eq!(report.lost_cors, 0, "sealing must not cost durability");
-        prop_assert_eq!(report.residue_violations, 0);
     }
-}
-
-/// The determinism contract survives tenancy: the simulated aggregate —
-/// including the four tenant columns — is byte-identical at 1, 4, and 8
-/// workers, with policy denials and rotations in play.
-#[test]
-fn tenant_fleet_simulated_aggregate_is_byte_identical_across_workers() {
-    let plan = ChaosPlan::canned("tenant-rotation").expect("canned plan");
-    let run = |workers: usize| {
-        let mut cfg = tenant_cfg(18, workers, 0xace0_fba5e);
-        cfg.tenant_deny = vec!["shop.com".into()];
-        cfg.unattested_nodes = vec![1];
-        let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("runs");
-        serde_json::to_string(&report.simulated_value()).expect("serializes")
-    };
-    let one = run(1);
-    assert_eq!(one, run(4), "1 vs 4 workers");
-    assert_eq!(one, run(8), "1 vs 8 workers");
-    assert!(one.contains("\"policy_denials\""), "new columns are part of the contract");
-    assert!(one.contains("\"cross_tenant_residue\":0"));
-    assert!(one.contains("\"wal_plaintexts\":0"));
 }
 
 /// With tenancy off the fleet must serialize exactly as before, modulo
@@ -130,7 +107,7 @@ fn disabled_tenancy_keeps_plaintext_vaults_and_zero_tenant_columns() {
     let report = run_fleet_chaos(&cfg, &ChaosPlan::empty(), &FleetObs::default()).expect("runs");
     assert!(report.wal_plaintexts > 0, "single-tenant vaults hold plaintext by design");
     assert_eq!(report.policy_denials, 0);
-    assert_eq!(report.cross_tenant_residue, 0);
+    assert_eq!(report.violations(), []);
     assert_eq!(report.unattested_refusals, 0);
     assert_eq!(report.tenant_key_rotations, 0);
 }
