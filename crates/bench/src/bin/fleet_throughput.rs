@@ -203,10 +203,7 @@ fn main() {
         );
     }
 
-    println!(
-        "\nsessions {} | ok {} | failed {} | failovers {}",
-        report.sessions, report.ok, report.failed, report.failovers
-    );
+    println!("\nsessions {} | ok {} | failovers {}", report.sessions, report.ok, report.failovers);
     println!(
         "chaos    replays {} | success-after-retry {} | fail-closed {} | \
              deliveries {} (+{} deduped) | residue violations {}",

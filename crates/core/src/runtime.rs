@@ -615,26 +615,22 @@ impl TinmanRuntime {
         let node = if active == 0 { &mut self.node } else { &mut self.extra_nodes[active - 1] };
         let dsm = if active == 0 { &mut self.dsm } else { &mut self.extra_dsms[active - 1] };
         match op {
-            DsmOp::MigrateToNode => dsm
-                .migrate(
-                    &mut self.client.machine,
-                    &mut node.machine,
-                    LockSite::Client,
-                    SyncCause::OffloadTrigger,
-                    &mut ClientMaterializer { directory: &mut self.client.directory },
-                    &mut NodeMaterializer { store: &mut node.store },
-                )
-                .map(|p| p.wire_bytes()),
-            DsmOp::MigrateToClient(cause) => dsm
-                .migrate(
-                    &mut node.machine,
-                    &mut self.client.machine,
-                    LockSite::TrustedNode,
-                    *cause,
-                    &mut NodeMaterializer { store: &mut node.store },
-                    &mut ClientMaterializer { directory: &mut self.client.directory },
-                )
-                .map(|p| p.wire_bytes()),
+            DsmOp::MigrateToNode => dsm.migrate(
+                &mut self.client.machine,
+                &mut node.machine,
+                LockSite::Client,
+                SyncCause::OffloadTrigger,
+                &mut ClientMaterializer { directory: &mut self.client.directory },
+                &mut NodeMaterializer { store: &mut node.store },
+            ),
+            DsmOp::MigrateToClient(cause) => dsm.migrate(
+                &mut node.machine,
+                &mut self.client.machine,
+                LockSite::TrustedNode,
+                *cause,
+                &mut NodeMaterializer { store: &mut node.store },
+                &mut ClientMaterializer { directory: &mut self.client.directory },
+            ),
             DsmOp::LockFromNode => dsm.lock_transfer(
                 &mut self.client.machine,
                 &mut node.machine,

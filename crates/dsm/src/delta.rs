@@ -103,7 +103,7 @@ impl HeapDelta {
                 entries.push(DeltaEntry::Whole { id, kind: obj.kind.clone() });
             }
         }
-        Ok(HeapDelta { entries, intern_table: heap.intern_table().to_vec() })
+        Ok(HeapDelta { entries, intern_table: heap.intern_table().to_owned() })
     }
 
     /// Applies this delta to `heap`, materializing cor tokens through
@@ -137,11 +137,11 @@ impl HeapDelta {
         Ok(())
     }
 
-    /// Serialized size in bytes — the number the paper's Table 3 reports.
-    /// Measured over the canonical JSON encoding for honesty (no hand-tuned
-    /// constant).
+    /// Serialized size in bytes — the number the paper's Table 3 reports:
+    /// the length of the canonical JSON encoding (no hand-tuned constant),
+    /// counted without writing it.
     pub fn wire_bytes(&self) -> u64 {
-        serde_json::to_vec(self).map(|v| v.len() as u64).unwrap_or(0)
+        self.json_len()
     }
 
     /// Number of object entries.

@@ -64,7 +64,7 @@ impl DsmStats {
 
     /// Count of syncs attributed to `cause`.
     pub fn cause_count(&self, cause: SyncCause) -> u64 {
-        self.causes.iter().find(|(c, _)| *c == cause).map(|(_, n)| *n).unwrap_or(0)
+        self.causes.iter().find(|(c, _)| *c == cause).map_or(0, |(_, n)| *n)
     }
 
     /// Total bytes shipped.
@@ -111,9 +111,10 @@ pub struct MigrationPacket {
 }
 
 impl MigrationPacket {
-    /// Serialized size in bytes (what the radio transfers).
+    /// Serialized size in bytes (what the radio transfers): the length of
+    /// the canonical JSON encoding, counted without writing it.
     pub fn wire_bytes(&self) -> u64 {
-        serde_json::to_vec(self).map(|v| v.len() as u64).unwrap_or(0)
+        self.json_len()
     }
 }
 
@@ -312,14 +313,15 @@ impl DsmEngine {
 
     /// Builds the outgoing packet on the sending endpoint. The first sync of
     /// a session ships the full heap; later ones ship fresh/dirty state
-    /// only. The sender's heap sync-marks are cleared.
+    /// only. The sender's heap sync-marks are cleared. Returns the packet
+    /// and the wire bytes charged for it.
     pub fn depart(
         &mut self,
         machine: &mut Machine,
         from: LockSite,
         cause: SyncCause,
         mat: &mut dyn CorMaterializer,
-    ) -> Result<MigrationPacket, DsmError> {
+    ) -> Result<(MigrationPacket, u64), DsmError> {
         self.check_sync_fault()?;
         self.check_sync_count()?;
         let delta = if self.init_done {
@@ -351,7 +353,7 @@ impl DsmEngine {
         self.check_sync_bytes()?;
         self.record_checkpoint();
         self.emit_sync(cause, init, bytes);
-        Ok(packet)
+        Ok((packet, bytes))
     }
 
     /// Applies an incoming packet on the receiving endpoint: heap delta,
@@ -374,7 +376,7 @@ impl DsmEngine {
     }
 
     /// Full migration: departs from `src` and arrives at `dst` in one call.
-    /// Returns the packet (for wire accounting and sniffing by the caller).
+    /// Returns the wire bytes charged, as [`DsmEngine::lock_transfer`] does.
     pub fn migrate(
         &mut self,
         src: &mut Machine,
@@ -383,10 +385,10 @@ impl DsmEngine {
         cause: SyncCause,
         src_mat: &mut dyn CorMaterializer,
         dst_mat: &mut dyn CorMaterializer,
-    ) -> Result<MigrationPacket, DsmError> {
-        let packet = self.depart(src, from, cause, src_mat)?;
+    ) -> Result<u64, DsmError> {
+        let (packet, bytes) = self.depart(src, from, cause, src_mat)?;
         self.arrive(dst, &packet, dst_mat)?;
-        Ok(packet)
+        Ok(bytes)
     }
 
     /// The lock-transfer synchronization (no thread movement): the
@@ -445,6 +447,12 @@ mod tests {
         serde_json::to_string(packet).expect("a packet serializes").contains(needle)
     }
 
+    /// Length of the JSON text actually written: the oracle every charged
+    /// byte count must equal.
+    fn written_len<T: Serialize>(v: &T) -> u64 {
+        serde_json::to_vec(v).expect("serializes").len() as u64
+    }
+
     fn machine_with_data() -> Machine {
         let mut m = Machine::new();
         m.heap.alloc_str("shared state");
@@ -465,24 +473,44 @@ mod tests {
         let mut client = machine_with_data();
         let mut node = Machine::new();
 
-        let p1 = eng
-            .migrate(
+        let (p1, b1) = eng
+            .depart(
                 &mut client,
-                &mut node,
                 LockSite::Client,
                 SyncCause::OffloadTrigger,
                 &mut PassthroughMaterializer,
-                &mut PassthroughMaterializer,
             )
             .unwrap();
+        eng.arrive(&mut node, &p1, &mut PassthroughMaterializer).unwrap();
         assert!(eng.init_done());
         assert_eq!(eng.stats().sync_count, 1);
-        assert_eq!(eng.stats().init_bytes, p1.wire_bytes());
+        assert_eq!(b1, written_len(&p1), "the init sync is charged its JSON length");
+        assert_eq!(p1.delta.wire_bytes(), written_len(&p1.delta));
+        assert_eq!(eng.stats().init_bytes, b1);
         assert_eq!(eng.stats().dirty_bytes, 0);
 
         // Node mutates a little, migrates back.
         node.heap.field_set(ObjId(1), 1, Value::Int(42)).unwrap();
-        let p2 = eng
+        let (p2, b2) = eng
+            .depart(
+                &mut node,
+                LockSite::TrustedNode,
+                SyncCause::TaintIdle,
+                &mut PassthroughMaterializer,
+            )
+            .unwrap();
+        eng.arrive(&mut client, &p2, &mut PassthroughMaterializer).unwrap();
+        assert_eq!(eng.stats().sync_count, 2);
+        assert_eq!(b2, written_len(&p2), "a dirty sync is charged its JSON length");
+        assert_eq!(p2.delta.wire_bytes(), written_len(&p2.delta));
+        assert_eq!(eng.stats().dirty_bytes, b2);
+        assert!(b2 < b1 / 2, "dirty sync must be much smaller");
+        assert_eq!(client.heap.field_get(ObjId(1), 1).unwrap(), Value::Int(42));
+
+        // `migrate` charges the same count `depart` returns.
+        node.heap.field_set(ObjId(1), 0, Value::Int(7)).unwrap();
+        let before = eng.stats().dirty_bytes;
+        let b3 = eng
             .migrate(
                 &mut node,
                 &mut client,
@@ -492,10 +520,8 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        assert_eq!(eng.stats().sync_count, 2);
-        assert_eq!(eng.stats().dirty_bytes, p2.wire_bytes());
-        assert!(p2.wire_bytes() < p1.wire_bytes() / 2, "dirty sync must be much smaller");
-        assert_eq!(client.heap.field_get(ObjId(1), 1).unwrap(), Value::Int(42));
+        assert!(b3 > 0);
+        assert_eq!(eng.stats().dirty_bytes, before + b3);
     }
 
     #[test]
@@ -562,6 +588,13 @@ mod tests {
 
         // Node runs, allocates, then blocks on the pinned monitor.
         let fresh = node.heap.alloc_str("node-made this");
+        // Replay the two deltas on copies: the charge is their JSON length.
+        let (mut requester, mut holder) = (node.clone(), client.clone());
+        let d1 = HeapDelta::build_dirty(&holder.heap, &mut PassthroughMaterializer).unwrap();
+        d1.apply(&mut requester.heap, &mut PassthroughMaterializer).unwrap();
+        holder.heap.clear_sync_marks();
+        let d2 = HeapDelta::build_dirty(&requester.heap, &mut PassthroughMaterializer).unwrap();
+        assert!(!d2.is_empty(), "the node's fresh object ships");
         let bytes = eng
             .lock_transfer(
                 &mut node,
@@ -571,7 +604,7 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        assert!(bytes > 0);
+        assert_eq!(bytes, written_len(&d1) + written_len(&d2));
         assert_eq!(node.lock_site(ObjId(0)), Some(LockSite::TrustedNode));
         assert_eq!(client.lock_site(ObjId(0)), Some(LockSite::TrustedNode));
         // Both directions of state flowed: the client learned about the
@@ -588,16 +621,15 @@ mod tests {
         client.heap.alloc_str_tainted("plaintext-cor-99", Label::new(0).unwrap().as_set());
         let mut node = Machine::new();
 
-        let p = eng
-            .migrate(
+        let (p, _) = eng
+            .depart(
                 &mut client,
-                &mut node,
                 LockSite::Client,
                 SyncCause::OffloadTrigger,
                 &mut PassthroughMaterializer,
-                &mut PassthroughMaterializer,
             )
             .unwrap();
+        eng.arrive(&mut node, &p, &mut PassthroughMaterializer).unwrap();
         assert!(!wire_contains(&p, "plaintext-cor-99"));
     }
 

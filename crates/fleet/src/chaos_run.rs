@@ -1015,7 +1015,7 @@ mod tests {
         cfg.faults.down_nodes = vec![0, 1];
         let report = run_fleet(&cfg).expect("fleet runs");
         assert_eq!(report.ok, 0);
-        assert_eq!(report.failed, 3);
+        assert_eq!(report.fail_closed, 3);
         assert!(report.outcomes.iter().all(|o| !o.success && o.node.is_none()));
     }
 

@@ -91,8 +91,6 @@ pub struct FleetReport {
     pub sessions: u64,
     /// Sessions that completed their workload successfully.
     pub ok: u64,
-    /// Sessions that exhausted every placement.
-    pub failed: u64,
     /// Placements retried fleet-wide: Σ `attempts − 1` over all sessions,
     /// saturating at zero for sessions that never attempted (shed or
     /// denied).
@@ -321,7 +319,6 @@ impl FleetReport {
     /// be sorted by session id (the scheduler guarantees it).
     pub fn aggregate(pool: &NodePool, outcomes: Vec<SessionOutcome>) -> FleetReport {
         let ok = outcomes.iter().filter(|o| o.success).count() as u64;
-        let failed = outcomes.len() as u64 - ok;
         let attempts: u64 = outcomes.iter().map(|o| u64::from(o.attempts)).sum();
         // Shed sessions never attempted at all (attempts == 0), so the
         // per-session failover count saturates rather than underflows.
@@ -365,7 +362,6 @@ impl FleetReport {
         FleetReport {
             sessions: outcomes.len() as u64,
             ok,
-            failed,
             failovers,
             attempts,
             success_after_retry: outcomes.iter().filter(|o| o.success && o.attempts > 1).count()
@@ -434,7 +430,6 @@ impl FleetReport {
         let mut put = |k: &str, v: Value| map.push((k.to_owned(), v));
         put("sessions", Value::U64(self.sessions));
         put("ok", Value::U64(self.ok));
-        put("failed", Value::U64(self.failed));
         put("failovers", Value::U64(self.failovers));
         put("attempts", Value::U64(self.attempts));
         put("success_after_retry", Value::U64(self.success_after_retry));
@@ -610,7 +605,6 @@ mod tests {
         let r = FleetReport::aggregate(&pool, outcomes);
         assert_eq!(r.sessions, 4);
         assert_eq!(r.ok, 3);
-        assert_eq!(r.failed, 1);
         assert_eq!(r.failovers, 2, "the failed session burned two failovers");
         assert_eq!(r.offloads, 6);
         assert_eq!(r.latency.mean, SimDuration::from_millis(200));
