@@ -53,8 +53,8 @@ fn main() {
     // 2. Phishing + exfiltration.
     println!("\n[2] §5.2 / §3.4 — phishing app and exfiltration");
     let mut rt = login_world(&spec, LinkProfile::wifi());
-    let cor = rt.node.store.ids()[0];
-    rt.node
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0]
         .policy
         .set_rule(cor, PolicyRule { bound_app_hash: Some(app.hash()), ..Default::default() });
     let phish = build_phishing_app(spec.domain, spec.cor_description);
@@ -63,7 +63,7 @@ fn main() {
         Err(RuntimeError::PolicyDenied(PolicyDecision::DeniedAppMismatch))
     );
     all &= check("phishing app denied by app-hash binding", denied);
-    all &= check("denial is on the audit log", !rt.node.audit.abnormal().is_empty());
+    all &= check("denial is on the audit log", !rt.nodes[0].audit.abnormal().is_empty());
 
     let mut rt = login_world(&spec, LinkProfile::wifi());
     let tls = rt.server_tls_config();
@@ -108,7 +108,7 @@ fn main() {
     println!("\n[4] §3.4 — stolen-device revocation");
     let mut rt = login_world(&spec, LinkProfile::wifi());
     rt.run_app(&app, Mode::TinMan, &inputs).expect("pre-revocation login");
-    rt.node.policy.revoke_device("phone-1");
+    rt.nodes[0].policy.revoke_device("phone-1");
     let revoked = matches!(
         rt.run_app(&app, Mode::TinMan, &inputs),
         Err(RuntimeError::PolicyDenied(PolicyDecision::DeniedRevoked))

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use serde::Serialize;
 use sha2::{Digest, Sha256};
 use tinman_cor::{
     AccessRequest, AuditEntry, AuditLog, CorId, CorStore, PlaceholderDirectory, PolicyEngine,
@@ -410,8 +411,9 @@ impl NodeHost<'_> {
             state.tls.as_mut().ok_or_else(|| ctx.error("cor send before TLS handshake"))?;
         let exported = session.export_state();
         // The state crosses client -> node; its serialized size is tiny but
-        // the transfer is real.
-        let state_bytes = serde_json::to_vec(&exported).map(|v| v.len() as u64).unwrap_or(256);
+        // the transfer is real. Charged as its JSON length, counted
+        // without writing it.
+        let state_bytes = exported.json_len();
 
         // -- figure 8 step 3: the client seals the *placeholder* under the
         // marked record type and sends it through its own TCP stack; the

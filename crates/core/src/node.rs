@@ -3,13 +3,15 @@
 use std::collections::HashSet;
 
 use tinman_cor::{AuditLog, CorStore, PolicyEngine};
+use tinman_dsm::DsmEngine;
 use tinman_net::HostId;
 use tinman_sim::DeviceProfile;
 use tinman_taint::TaintEngine;
 use tinman_vm::Machine;
 
-/// The trusted node: cor store, policy, audit, and the mirrored execution
-/// environment offloaded threads run in.
+/// The trusted node: cor store, policy, audit, the mirrored execution
+/// environment offloaded threads run in, and the DSM engine that syncs it
+/// with the client.
 pub struct TrustedNode {
     /// The node's identity in the simulated world.
     pub host: HostId,
@@ -23,6 +25,8 @@ pub struct TrustedNode {
     pub machine: Machine,
     /// The full (TaintDroid-grade) taint engine.
     pub engine: TaintEngine,
+    /// The offloading engine between the client and this node.
+    pub dsm: DsmEngine,
     /// App images already uploaded ("warm" dex cache, §6.2) keyed by image
     /// hash.
     pub warm_apps: HashSet<[u8; 32]>,
@@ -40,6 +44,7 @@ impl TrustedNode {
             audit: AuditLog::new(),
             machine: Machine::new(),
             engine: TaintEngine::full(),
+            dsm: DsmEngine::new(),
             warm_apps: HashSet::new(),
             profile: DeviceProfile::trusted_pc(),
         }
@@ -55,11 +60,19 @@ impl TrustedNode {
         self.warm_apps.insert(app_hash);
     }
 
-    /// Resets the mirrored machine for a fresh app run (warm caches and the
-    /// store survive).
+    /// Resets the mirrored machine and the DSM engine for a fresh app run
+    /// (warm caches and the store survive).
     pub fn reset_for_run(&mut self) {
         self.machine = Machine::new();
         self.engine = TaintEngine::full();
+        self.dsm = DsmEngine::new();
+    }
+
+    /// Scrubs the guest's heap and tears down its stack, so no cor byte
+    /// survives for a §5.1 dump to find.
+    pub(crate) fn scrub_guest(&mut self) {
+        self.machine.heap.scrub();
+        self.machine.frames.clear();
     }
 }
 

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use tinman_cor::{CorStore, PolicyDecision};
-use tinman_dsm::{DsmEngine, DsmError, DsmStats, SyncBudget, SyncCause};
+use tinman_dsm::{DsmError, DsmStats, SyncBudget, SyncCause};
 use tinman_guard::{GuardPolicy, KillReason, ScrubReceipt};
 use tinman_net::{HostId, MarkFilter, NetWorld, Traffic};
 use tinman_obs::{MetricsRegistry, TraceEvent, TraceHandle};
@@ -286,15 +286,11 @@ pub struct TinmanRuntime {
     pub world: NetWorld,
     /// The phone.
     pub client: ClientDevice,
-    /// The primary trusted node.
-    pub node: TrustedNode,
-    /// The offloading engine for the primary node.
-    pub dsm: DsmEngine,
-    /// Additional trusted nodes (§5.3: different nodes for different
-    /// passwords). Added with [`TinmanRuntime::add_trusted_node`]; cors are
-    /// routed to the node whose store owns their label range.
-    pub extra_nodes: Vec<TrustedNode>,
-    extra_dsms: Vec<DsmEngine>,
+    /// The trusted nodes, each owning its DSM engine. Index 0 is the
+    /// primary; [`TinmanRuntime::add_trusted_node`] appends more (§5.3:
+    /// different nodes for different passwords), and cors are routed to
+    /// the node whose store owns their label range.
+    pub nodes: Vec<TrustedNode>,
     /// Which host the runtime last pointed the mark filter at. The filter
     /// is only reinstalled when the target node changes, so externally
     /// installed filters (tests, custom deployments) are not clobbered.
@@ -357,15 +353,11 @@ impl TinmanRuntime {
             TlsConfig::tinman_client(config.psk),
             link,
         );
-        let node = TrustedNode::new(node_host, store);
         let rng = SplitMix64::new(config.seed);
         TinmanRuntime {
             world,
             client,
-            node,
-            dsm: DsmEngine::new(),
-            extra_nodes: Vec::new(),
-            extra_dsms: Vec::new(),
+            nodes: vec![TrustedNode::new(node_host, store)],
             filter_target: node_host,
             config,
             rng,
@@ -418,7 +410,7 @@ impl TinmanRuntime {
     /// the checkpoint a chaos replay resumes from. `None` before the first
     /// sync or when no fault has been installed.
     pub fn dsm_checkpoint(&self) -> Option<tinman_sim::SimTime> {
-        self.dsm.last_sync_at()
+        self.nodes[0].dsm.last_sync_at()
     }
 
     /// Arms the membership drain trigger: the first node-segment sync
@@ -450,11 +442,10 @@ impl TinmanRuntime {
     fn checkpoint_and_drain(&mut self, active: usize) -> RuntimeError {
         let at_ns = self.clock.now().since(SimTime::ZERO).as_nanos();
         let probes = std::mem::take(&mut self.drain_probes);
-        let node = if active == 0 { &mut self.node } else { &mut self.extra_nodes[active - 1] };
+        let node = &mut self.nodes[active];
         let machine_json = serde_json::to_string(&node.machine).unwrap_or_default();
         let engine_json = serde_json::to_string(&node.engine).unwrap_or_default();
-        node.machine.heap.scrub();
-        node.machine.frames.clear();
+        node.scrub_guest();
         let residue: u64 = probes.iter().map(|p| node.machine.scan_residue(p).len() as u64).sum();
         let scrub = ScrubReceipt { node: active, at_ns, residue };
         self.metrics.incr("fleet.region.drains");
@@ -500,9 +491,8 @@ impl TinmanRuntime {
             let ph = store.placeholder(id).expect("has placeholder").to_owned();
             self.client.directory.insert(id, desc, &ph);
         }
-        self.extra_nodes.push(TrustedNode::new(host, store));
-        self.extra_dsms.push(DsmEngine::new());
-        self.extra_nodes.len()
+        self.nodes.push(TrustedNode::new(host, store));
+        self.nodes.len() - 1
     }
 
     /// The index of the node whose store owns every label in `labels`, or
@@ -512,13 +502,8 @@ impl TinmanRuntime {
         let mut chosen: Option<usize> = None;
         for l in labels.iter() {
             let id = tinman_cor::CorId::from_label(l);
-            let idx = if self.node.store.owns_label(id) {
-                0
-            } else if let Some(i) = self.extra_nodes.iter().position(|n| n.store.owns_label(id)) {
-                i + 1
-            } else {
-                0 // unknown labels default to the primary node
-            };
+            // Unknown labels default to the primary node.
+            let idx = self.nodes.iter().position(|n| n.store.owns_label(id)).unwrap_or(0);
             match chosen {
                 None => chosen = Some(idx),
                 Some(c) if c == idx => {}
@@ -540,9 +525,9 @@ impl TinmanRuntime {
         self.client.host
     }
 
-    /// The trusted node's host id.
+    /// The primary trusted node's host id.
     pub fn node_host(&self) -> HostId {
-        self.node.host
+        self.nodes[0].host
     }
 
     /// The server-side TLS config matching this runtime's PSK.
@@ -559,11 +544,7 @@ impl TinmanRuntime {
     /// memory-dump attacker pointed at the node, used to verify the
     /// guard's scrub-on-kill teardown left nothing behind.
     pub fn scan_node_residue(&self, needle: &str) -> Vec<tinman_vm::ObjId> {
-        let mut hits = self.node.machine.scan_residue(needle);
-        for n in &self.extra_nodes {
-            hits.extend(n.machine.scan_residue(needle));
-        }
-        hits
+        self.nodes.iter().flat_map(|n| n.machine.scan_residue(needle)).collect()
     }
 
     /// Kills the guest on node `active`: scrubs the node heap (no cor
@@ -573,9 +554,8 @@ impl TinmanRuntime {
     /// surfaces. A kill is terminal for the session — after exhaustion
     /// nothing on the node can be trusted enough to migrate back.
     fn kill_guest(&mut self, active: usize, reason: KillReason) -> RuntimeError {
-        let node = if active == 0 { &mut self.node } else { &mut self.extra_nodes[active - 1] };
-        node.machine.heap.scrub();
-        node.machine.frames.clear();
+        let node = &mut self.nodes[active];
+        node.scrub_guest();
         node.machine.status = tinman_vm::MachineStatus::Faulted;
         self.metrics.incr("guard.kills");
         self.metrics.incr(reason.budget().1);
@@ -612,37 +592,36 @@ impl TinmanRuntime {
     /// node. Expressed as data (see [`DsmOp`]) so [`Self::dsm_exchange`]
     /// can replay the identical exchange during bounded re-sync retries.
     fn run_dsm_op(&mut self, active: usize, op: &DsmOp) -> Result<u64, DsmError> {
-        let node = if active == 0 { &mut self.node } else { &mut self.extra_nodes[active - 1] };
-        let dsm = if active == 0 { &mut self.dsm } else { &mut self.extra_dsms[active - 1] };
+        let TrustedNode { machine: node_machine, store, dsm, .. } = &mut self.nodes[active];
         match op {
             DsmOp::MigrateToNode => dsm.migrate(
                 &mut self.client.machine,
-                &mut node.machine,
+                node_machine,
                 LockSite::Client,
                 SyncCause::OffloadTrigger,
                 &mut ClientMaterializer { directory: &mut self.client.directory },
-                &mut NodeMaterializer { store: &mut node.store },
+                &mut NodeMaterializer { store },
             ),
             DsmOp::MigrateToClient(cause) => dsm.migrate(
-                &mut node.machine,
+                node_machine,
                 &mut self.client.machine,
                 LockSite::TrustedNode,
                 *cause,
-                &mut NodeMaterializer { store: &mut node.store },
+                &mut NodeMaterializer { store },
                 &mut ClientMaterializer { directory: &mut self.client.directory },
             ),
             DsmOp::LockFromNode => dsm.lock_transfer(
                 &mut self.client.machine,
-                &mut node.machine,
+                node_machine,
                 LockSite::TrustedNode,
                 &mut ClientMaterializer { directory: &mut self.client.directory },
-                &mut NodeMaterializer { store: &mut node.store },
+                &mut NodeMaterializer { store },
             ),
             DsmOp::LockFromClient => dsm.lock_transfer(
-                &mut node.machine,
+                node_machine,
                 &mut self.client.machine,
                 LockSite::Client,
-                &mut NodeMaterializer { store: &mut node.store },
+                &mut NodeMaterializer { store },
                 &mut ClientMaterializer { directory: &mut self.client.directory },
             ),
         }
@@ -673,8 +652,7 @@ impl TinmanRuntime {
             for attempt in 0..self.config.resync_retries {
                 let t_wait = self.clock.now();
                 let mut until = t_wait + policy.delay(attempt as u64);
-                let dsm = if active == 0 { &self.dsm } else { &self.extra_dsms[active - 1] };
-                if let Some(clear) = dsm.fault_clears_at() {
+                if let Some(clear) = self.nodes[active].dsm.fault_clears_at() {
                     // An open-ended crash never clears; keep the plain
                     // backoff and let exhaustion fail the session closed.
                     if clear > until && clear < tinman_sim::SimTime::MAX {
@@ -733,8 +711,8 @@ impl TinmanRuntime {
         self.client.battery.drain(e);
     }
 
-    fn charge_node_cpu(&mut self, cycles: u64, breakdown: &mut Breakdown) {
-        let dt = self.node.profile.exec_time(cycles);
+    fn charge_node_cpu(&mut self, active: usize, cycles: u64, breakdown: &mut Breakdown) {
+        let dt = self.nodes[active].profile.exec_time(cycles);
         self.clock.advance(dt);
         breakdown.charge("exec.node", dt);
     }
@@ -783,36 +761,26 @@ impl TinmanRuntime {
         };
         self.client.reset_for_run(client_engine);
         self.client.tls_config = tls_config;
-        self.node.reset_for_run();
-        self.dsm = DsmEngine::new();
-        for n in &mut self.extra_nodes {
+        let budget = self
+            .config
+            .guard
+            .map(|g| SyncBudget { max_syncs: g.max_dsm_syncs, max_bytes: g.max_dsm_bytes });
+        for n in &mut self.nodes {
             n.reset_for_run();
-        }
-        for d in &mut self.extra_dsms {
-            *d = DsmEngine::new();
-        }
-        // Engines are rebuilt per run, so re-wire them to the trace sink.
-        if self.trace.is_enabled() {
-            self.dsm.set_trace(self.trace.clone(), self.clock.clone(), self.trace_track);
-            for d in &mut self.extra_dsms {
-                d.set_trace(self.trace.clone(), self.clock.clone(), self.trace_track);
+            // DSM engines are rebuilt per run, so re-wire them to the trace
+            // sink ...
+            if self.trace.is_enabled() {
+                n.dsm.set_trace(self.trace.clone(), self.clock.clone(), self.trace_track);
             }
-        }
-        // ... and to the chaos fault window, which also enables
-        // checkpoint recording.
-        if let Some(fault) = &self.dsm_fault {
-            self.dsm.set_fault(fault.clone(), self.clock.clone());
-            for d in &mut self.extra_dsms {
-                d.set_fault(fault.clone(), self.clock.clone());
+            // ... to the chaos fault window, which also enables checkpoint
+            // recording ...
+            if let Some(fault) = &self.dsm_fault {
+                n.dsm.set_fault(fault.clone(), self.clock.clone());
             }
-        }
-        // ... and to the guard's sync budget, so a SyncFlood guest is
-        // refused by the engine itself before the flood ships bytes.
-        if let Some(g) = &self.config.guard {
-            let budget = SyncBudget { max_syncs: g.max_dsm_syncs, max_bytes: g.max_dsm_bytes };
-            self.dsm.set_budget(budget);
-            for d in &mut self.extra_dsms {
-                d.set_budget(budget);
+            // ... and to the guard's sync budget, so a SyncFlood guest is
+            // refused by the engine itself before the flood ships bytes.
+            if let Some(budget) = budget {
+                n.dsm.set_budget(budget);
             }
         }
         let _run_span = self.trace.span_guard(self.trace_track, &self.clock, "run_app");
@@ -921,11 +889,7 @@ impl TinmanRuntime {
                     // and point the packet filter at it (the client knows
                     // which trusted node it is talking to).
                     active = self.route_labels(labels)?;
-                    let active_host = if active == 0 {
-                        self.node.host
-                    } else {
-                        self.extra_nodes[active - 1].host
-                    };
+                    let active_host = self.nodes[active].host;
                     if active_host != self.filter_target {
                         self.world.set_egress_filter(
                             self.client.host,
@@ -973,11 +937,7 @@ impl TinmanRuntime {
                     }
 
                     // §3.4: the node refuses known malware outright.
-                    let node = if active == 0 {
-                        &mut self.node
-                    } else {
-                        &mut self.extra_nodes[active - 1]
-                    };
+                    let node = &mut self.nodes[active];
                     if node.policy.malware_db().contains(&app_hash) {
                         return Err(RuntimeError::MalwareRejected {
                             app_hash_hex: image.hash_hex(),
@@ -996,12 +956,7 @@ impl TinmanRuntime {
                     self.metrics.incr("runtime.offloads");
                     // Carry execution counters over so stats stay cumulative
                     // per machine (each machine counts its own retire).
-                    let node = if active == 0 {
-                        &mut self.node
-                    } else {
-                        &mut self.extra_nodes[active - 1]
-                    };
-                    node.machine.status = tinman_vm::MachineStatus::Runnable;
+                    self.nodes[active].machine.status = tinman_vm::MachineStatus::Runnable;
                     self.charge_migration(bytes, &mut breakdown);
                 }
             }
@@ -1033,8 +988,7 @@ impl TinmanRuntime {
                 // per-run spend); the wall deadline is checked against the
                 // simulated clock before each segment.
                 let guard_cfg = self.config.guard.map(|g| {
-                    let used: u64 = self.node.machine.stats.instrs
-                        + self.extra_nodes.iter().map(|n| n.machine.stats.instrs).sum::<u64>();
+                    let used: u64 = self.nodes.iter().map(|n| n.machine.stats.instrs).sum();
                     (g, g.fuel.saturating_sub(used))
                 });
                 if let Some((g, _)) = &guard_cfg {
@@ -1046,11 +1000,7 @@ impl TinmanRuntime {
                 }
                 let t0 = self.clock.now();
                 let event = {
-                    let active_node = if active == 0 {
-                        &mut self.node
-                    } else {
-                        &mut self.extra_nodes[active - 1]
-                    };
+                    let active_node = &mut self.nodes[active];
                     let node_host_id = active_node.host;
                     let client_host_id = self.client.host;
                     let client_link = self.client.link.clone();
@@ -1112,13 +1062,9 @@ impl TinmanRuntime {
                 // natives spent (SSL/TCP path, server think) was already
                 // attributed by the host.
                 let _ = t0;
-                let active_cycles = if active == 0 {
-                    self.node.machine.stats.cycles
-                } else {
-                    self.extra_nodes[active - 1].machine.stats.cycles
-                };
+                let active_cycles = self.nodes[active].machine.stats.cycles;
                 let cycles = active_cycles - node_cycles_seen;
-                self.charge_node_cpu(cycles, &mut breakdown);
+                self.charge_node_cpu(active, cycles, &mut breakdown);
                 node_cycles_seen = active_cycles;
 
                 match event {
@@ -1214,12 +1160,11 @@ impl TinmanRuntime {
         // A stock login has ~2 bursts (request, response); TinMan adds one
         // per DSM sync and two per offload round (state export + the
         // redirect/inject exchange).
-        let mut dsm_stats = self.dsm.stats().clone();
-        for d in &self.extra_dsms {
-            dsm_stats.absorb(d.stats());
+        let mut dsm_stats = DsmStats::default();
+        for n in &self.nodes {
+            dsm_stats.absorb(n.dsm.stats());
         }
-        let node_methods: u64 = self.node.machine.stats.method_invocations
-            + self.extra_nodes.iter().map(|n| n.machine.stats.method_invocations).sum::<u64>();
+        let node_methods: u64 = self.nodes.iter().map(|n| n.machine.stats.method_invocations).sum();
         // The report reads the run's offload count back from the registry
         // (this runtime is single-threaded, so the delta is exact).
         let offloads = self.metrics.get("runtime.offloads") - offloads_start;

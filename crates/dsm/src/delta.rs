@@ -107,21 +107,23 @@ impl HeapDelta {
     }
 
     /// Applies this delta to `heap`, materializing cor tokens through
-    /// `mat`. After application the touched objects carry no sync marks.
-    pub fn apply(&self, heap: &mut Heap, mat: &mut dyn CorMaterializer) -> Result<(), DsmError> {
-        for entry in &self.entries {
+    /// `mat`. The delta is consumed: whole objects and the intern table
+    /// move into the heap. After application the touched objects carry no
+    /// sync marks.
+    pub fn apply(self, heap: &mut Heap, mat: &mut dyn CorMaterializer) -> Result<(), DsmError> {
+        for entry in self.entries {
             match entry {
                 DeltaEntry::Whole { id, kind } => {
-                    heap.apply_object(*id, kind.clone(), TaintSet::EMPTY)?;
+                    heap.apply_object(id, kind, TaintSet::EMPTY)?;
                 }
                 DeltaEntry::Fields { id, updates } => {
-                    heap.apply_fields(*id, updates)?;
+                    heap.apply_fields(id, &updates)?;
                 }
                 DeltaEntry::Cor { id, token } => {
-                    let (kind, taint) = mat.materialize(token)?;
+                    let (kind, taint) = mat.materialize(&token)?;
                     if !token.shape.matches(&kind) {
                         return Err(DsmError::ShapeMismatch {
-                            obj: *id,
+                            obj: id,
                             detail: format!(
                                 "materializer returned {}, token shape {:?}",
                                 kind.kind_name(),
@@ -129,11 +131,11 @@ impl HeapDelta {
                             ),
                         });
                     }
-                    heap.apply_object(*id, kind, taint)?;
+                    heap.apply_object(id, kind, taint)?;
                 }
             }
         }
-        heap.set_intern_table(self.intern_table.clone());
+        heap.set_intern_table(self.intern_table);
         Ok(())
     }
 

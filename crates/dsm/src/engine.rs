@@ -357,21 +357,23 @@ impl DsmEngine {
     }
 
     /// Applies an incoming packet on the receiving endpoint: heap delta,
-    /// thread frames, and lock ownership transfer.
+    /// thread frames, and lock ownership transfer. The packet is consumed;
+    /// its parts move into `machine`.
     pub fn arrive(
         &mut self,
         machine: &mut Machine,
-        packet: &MigrationPacket,
+        packet: MigrationPacket,
         mat: &mut dyn CorMaterializer,
     ) -> Result<(), DsmError> {
-        packet.delta.apply(&mut machine.heap, mat)?;
+        let MigrationPacket { frames, delta, locks, pinned, from, .. } = packet;
+        delta.apply(&mut machine.heap, mat)?;
         machine.heap.clear_sync_marks();
-        machine.frames = packet.frames.clone();
+        machine.frames = frames;
         // Mirror the sender's monitor table, with the migrating thread's
         // monitors re-homed to this endpoint (pinned monitors stay put).
-        machine.locks = packet.locks.clone();
-        machine.pinned_locks = packet.pinned.clone();
-        machine.transfer_locks(packet.from, packet.from.other());
+        machine.locks = locks;
+        machine.pinned_locks = pinned;
+        machine.transfer_locks(from, from.other());
         Ok(())
     }
 
@@ -387,7 +389,7 @@ impl DsmEngine {
         dst_mat: &mut dyn CorMaterializer,
     ) -> Result<u64, DsmError> {
         let (packet, bytes) = self.depart(src, from, cause, src_mat)?;
-        self.arrive(dst, &packet, dst_mat)?;
+        self.arrive(dst, packet, dst_mat)?;
         Ok(bytes)
     }
 
@@ -407,12 +409,15 @@ impl DsmEngine {
         self.check_sync_fault()?;
         self.check_sync_count()?;
         // holder -> requester: anything the paused side still has unsynced.
+        // Each delta is measured before `apply` consumes it.
         let d1 = HeapDelta::build_dirty(&holder.heap, holder_mat)?;
+        let mut bytes = d1.wire_bytes();
         d1.apply(&mut requester.heap, requester_mat)?;
         holder.heap.clear_sync_marks();
         // requester -> holder: what the running side produced so far, so
         // no fresh object is ever silently unmarked.
         let d2 = HeapDelta::build_dirty(&requester.heap, requester_mat)?;
+        bytes += d2.wire_bytes();
         d2.apply(&mut holder.heap, holder_mat)?;
         requester.heap.clear_sync_marks();
         // Hand every monitor the holder endpoint owns (including the
@@ -424,7 +429,6 @@ impl DsmEngine {
         requester.pinned_locks.clear();
         holder.pinned_locks.clear();
 
-        let bytes = d1.wire_bytes() + d2.wire_bytes();
         self.stats.dirty_bytes += bytes;
         self.stats.sync_count += 1;
         self.stats.record_cause(SyncCause::LockTransfer);
@@ -481,11 +485,11 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        eng.arrive(&mut node, &p1, &mut PassthroughMaterializer).unwrap();
-        assert!(eng.init_done());
-        assert_eq!(eng.stats().sync_count, 1);
         assert_eq!(b1, written_len(&p1), "the init sync is charged its JSON length");
         assert_eq!(p1.delta.wire_bytes(), written_len(&p1.delta));
+        eng.arrive(&mut node, p1, &mut PassthroughMaterializer).unwrap();
+        assert!(eng.init_done());
+        assert_eq!(eng.stats().sync_count, 1);
         assert_eq!(eng.stats().init_bytes, b1);
         assert_eq!(eng.stats().dirty_bytes, 0);
 
@@ -499,10 +503,10 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        eng.arrive(&mut client, &p2, &mut PassthroughMaterializer).unwrap();
-        assert_eq!(eng.stats().sync_count, 2);
         assert_eq!(b2, written_len(&p2), "a dirty sync is charged its JSON length");
         assert_eq!(p2.delta.wire_bytes(), written_len(&p2.delta));
+        eng.arrive(&mut client, p2, &mut PassthroughMaterializer).unwrap();
+        assert_eq!(eng.stats().sync_count, 2);
         assert_eq!(eng.stats().dirty_bytes, b2);
         assert!(b2 < b1 / 2, "dirty sync must be much smaller");
         assert_eq!(client.heap.field_get(ObjId(1), 1).unwrap(), Value::Int(42));
@@ -591,6 +595,7 @@ mod tests {
         // Replay the two deltas on copies: the charge is their JSON length.
         let (mut requester, mut holder) = (node.clone(), client.clone());
         let d1 = HeapDelta::build_dirty(&holder.heap, &mut PassthroughMaterializer).unwrap();
+        let d1_len = written_len(&d1);
         d1.apply(&mut requester.heap, &mut PassthroughMaterializer).unwrap();
         holder.heap.clear_sync_marks();
         let d2 = HeapDelta::build_dirty(&requester.heap, &mut PassthroughMaterializer).unwrap();
@@ -604,7 +609,7 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        assert_eq!(bytes, written_len(&d1) + written_len(&d2));
+        assert_eq!(bytes, d1_len + written_len(&d2));
         assert_eq!(node.lock_site(ObjId(0)), Some(LockSite::TrustedNode));
         assert_eq!(client.lock_site(ObjId(0)), Some(LockSite::TrustedNode));
         // Both directions of state flowed: the client learned about the
@@ -629,8 +634,8 @@ mod tests {
                 &mut PassthroughMaterializer,
             )
             .unwrap();
-        eng.arrive(&mut node, &p, &mut PassthroughMaterializer).unwrap();
         assert!(!wire_contains(&p, "plaintext-cor-99"));
+        eng.arrive(&mut node, p, &mut PassthroughMaterializer).unwrap();
     }
 
     #[test]

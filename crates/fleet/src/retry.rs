@@ -6,10 +6,10 @@
 //! can use it without depending on the fleet. This module re-exports it
 //! under the fleet's namespace and adds the fleet-specific constructors:
 //!
-//! - [`failover_policy`](crate::failure::failover_policy) — the
-//!   historical failover curve (`base * 2^attempt`, exponent clamped at
-//!   16, capped at [`MAX_BACKOFF`](crate::failure::MAX_BACKOFF)), no
-//!   jitter, byte-identical to the pre-policy reports.
+//! - [`failover_policy`] — the historical failover curve
+//!   (`base * 2^attempt`, exponent clamped at 16, capped at
+//!   [`MAX_BACKOFF`](crate::failure::MAX_BACKOFF)), no jitter,
+//!   byte-identical to the pre-policy reports.
 //! - [`migration_policy`] — the same curve with seeded deterministic
 //!   jitter for migration shipping: retransmits of a checkpoint should
 //!   not synchronize across a draining region, but the jitter must stay

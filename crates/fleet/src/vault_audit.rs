@@ -133,7 +133,7 @@ fn run_audit(
     let mut audit = VaultAudit::default();
     let mut dice = SplitMix64::new(dice_seed ^ 0x7a61_1e55_0c0d_e5af);
     let seed = dice.next_u64();
-    let store = &rt.node.store;
+    let store = &rt.nodes[0].store;
     let plain_records = store.export_records();
     // With a seal context the log carries ciphertext: each record's
     // plaintext is replaced by its tmt1 blob (nonce bound to the dice

@@ -12,7 +12,7 @@
 //!   down (administratively or inside an outage window), and holds
 //!   firewall rules (denied destination ports). Cross-subnet segments
 //!   take the deterministic shortest router path or fail closed.
-//! * **NAT** — a [`NatGateway`] on a subnet rewrites the source address
+//! * **NAT** — a `NatGateway` on a subnet rewrites the source address
 //!   of outbound segments through a connection-tracking table. Bindings
 //!   are allocated at connect; flushing the table makes every further
 //!   translation fail closed unless the host is marked for transparent
@@ -21,7 +21,7 @@
 //!   injectable outage windows: a cached live record resolves through an
 //!   outage, anything else fails with `DnsOutage`.
 //!
-//! The [`Topology`] itself is pure bookkeeping: it computes verdicts and
+//! The `Topology` itself is pure bookkeeping: it computes verdicts and
 //! the [`crate::world::NetWorld`] applies the effects (clock charges,
 //! stats, trace events), which keeps every path deterministic and
 //! byte-identical across reruns.

@@ -280,7 +280,7 @@ where
 /// one `run` call.
 ///
 /// Field visibility is `pub(crate)` so the compiled tier
-/// ([`crate::tier`]) can wrap [`Interp::step`] for every opcode outside
+/// ([`crate::tier`]) can wrap `Interp::step` for every opcode outside
 /// its fast subset — complex opcodes are then bit-identical between tiers
 /// *by construction*, because both tiers execute the same code.
 pub struct Interp<'a, H: NativeHost> {

@@ -7,21 +7,21 @@
 //! the security argument and the wrong shape for throughput. This module
 //! adds a translation tier:
 //!
-//! 1. **decode** ([`decode`]): each function is decoded once into a CFG of
+//! 1. **decode** (`decode`): each function is decoded once into a CFG of
 //!    basic blocks over a compact op IR, with static stack-depth and
 //!    local-slot verification per block;
-//! 2. **passes** ([`passes`]): a small pipeline — constant folding,
+//! 2. **passes** (`passes`): a small pipeline — constant folding,
 //!    dead-store elimination, superinstruction fusion — rewrites each
 //!    block while preserving every observable charge (retired instruction
 //!    counts, cycle costs, taint-engine move reports);
-//! 3. **execute** ([`exec`]): blocks whose guard budgets
+//! 3. **execute** (`exec`): blocks whose guard budgets
 //!    (fuel/heap/depth/taint-idle) are satisfied for the *whole block* run
 //!    through a tight native loop that pays the fetch/dispatch/budget
 //!    overhead once per block; any precondition failure, offload trigger,
 //!    guard kill, or opcode outside the fast subset **deoptimizes** to the
-//!    interpreter's own [`crate::interp::Interp::step`], so machine state
-//!    at every suspension point is byte-for-byte what the interpreter
-//!    would have produced.
+//!    interpreter's own `Interp::step`, so machine state at every
+//!    suspension point is byte-for-byte what the interpreter would have
+//!    produced.
 //!
 //! The equivalence contract (enforced by `tests/tier.rs` differential
 //! proptests and the hostile-bytecode fuzzer): for any bytecode, any taint

@@ -46,7 +46,7 @@ fn main() {
     let report = rt.run_app(&app, Mode::TinMan, &inputs).expect("bankdroid runs");
 
     println!("login result: {:?}", report.result);
-    println!("cors on the trusted node now: {} (original + derived)", rt.node.store.len());
+    println!("cors on the trusted node now: {} (original + derived)", rt.nodes[0].store.len());
 
     // Neither the password nor its hash is on the device.
     let hash_hex: String =
@@ -68,8 +68,8 @@ fn main() {
     }
 
     // The audit trail on the trusted node.
-    println!("\ntrusted-node audit log ({} entries):", rt.node.audit.len());
-    for e in rt.node.audit.entries() {
+    println!("\ntrusted-node audit log ({} entries):", rt.nodes[0].audit.len());
+    for e in rt.nodes[0].audit.entries() {
         println!(
             "  | t={:.2}s cor={:?} domain={:?} decision={:?}",
             e.time.as_secs_f64(),

@@ -38,8 +38,8 @@ fn main() {
     );
 
     // §4.2 rules: one purchase per day, only to shop.com.
-    for cor in rt.node.store.ids() {
-        rt.node.policy.set_rule(
+    for cor in rt.nodes[0].store.ids() {
+        rt.nodes[0].policy.set_rule(
             cor,
             PolicyRule {
                 domain_whitelist: vec!["shop.com".into()],
@@ -70,7 +70,7 @@ fn main() {
     }
 
     println!("\naudit trail:");
-    for e in rt.node.audit.entries() {
+    for e in rt.nodes[0].audit.entries() {
         println!("  | cor={:?} domain={:?} decision={:?}", e.cor, e.domain, e.decision);
     }
 }

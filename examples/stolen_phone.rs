@@ -67,7 +67,7 @@ fn main() {
     println!("            every access is on the audit log and cannot be denied)");
 
     // The victim notices and revokes the device on the trusted node.
-    rt.node.policy.revoke_device("phone-1");
+    rt.nodes[0].policy.revoke_device("phone-1");
     match rt.run_app(&app, Mode::TinMan, &inputs) {
         Err(RuntimeError::PolicyDenied(PolicyDecision::DeniedRevoked)) => {
             println!("\n[response] victim revokes the device: further cor access DENIED.");
@@ -77,7 +77,7 @@ fn main() {
 
     println!(
         "\naudit log had {} entries, {} abnormal.",
-        rt.node.audit.len(),
-        rt.node.audit.abnormal().len()
+        rt.nodes[0].audit.len(),
+        rt.nodes[0].audit.abnormal().len()
     );
 }

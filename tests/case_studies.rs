@@ -102,7 +102,11 @@ fn bankdroid_hash_login_works_and_hash_is_a_derived_cor() {
     assert!(rt.scan_residue(&hash_hex).is_clean(), "hash residue (it is a derived cor)");
 
     // The node's store now holds derived cors (the hash, the request body).
-    assert!(rt.node.store.len() >= 3, "original + derived cors, got {}", rt.node.store.len());
+    assert!(
+        rt.nodes[0].store.len() >= 3,
+        "original + derived cors, got {}",
+        rt.nodes[0].store.len()
+    );
 
     // The transactions ARE on the device — they are ordinary private data
     // (§5.4), displayed and cached in plaintext.
@@ -157,8 +161,8 @@ fn card_time_window_rule_applies_to_checkout() {
     // at hour 0, so the send is outside the window.
     let app = build_browser_checkout("shop.com", "Visa card number", "Visa security code");
     let mut rt = shop_runtime();
-    for cor in rt.node.store.ids() {
-        rt.node
+    for cor in rt.nodes[0].store.ids() {
+        rt.nodes[0]
             .policy
             .set_rule(cor, PolicyRule { time_window_hours: Some((10, 22)), ..Default::default() });
     }
@@ -171,8 +175,8 @@ fn card_rate_limit_rule_applies_to_checkout() {
     // §4.2 rule 3: at most N uses per day.
     let app = build_browser_checkout("shop.com", "Visa card number", "Visa security code");
     let mut rt = shop_runtime();
-    for cor in rt.node.store.ids() {
-        rt.node
+    for cor in rt.nodes[0].store.ids() {
+        rt.nodes[0]
             .policy
             .set_rule(cor, PolicyRule { max_uses_per_day: Some(1), ..Default::default() });
     }
@@ -187,6 +191,6 @@ fn every_checkout_is_audited() {
     let mut rt = shop_runtime();
     rt.run_app(&app, Mode::TinMan, &inputs()).unwrap();
     // §4.2 rule 4: all access operations logged.
-    assert!(!rt.node.audit.is_empty());
-    assert!(rt.node.audit.entries().iter().any(|e| e.domain.as_deref() == Some("shop.com")));
+    assert!(!rt.nodes[0].audit.is_empty());
+    assert!(rt.nodes[0].audit.entries().iter().any(|e| e.domain.as_deref() == Some("shop.com")));
 }

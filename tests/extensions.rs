@@ -156,8 +156,8 @@ fn anomaly_detection_flags_the_phishing_attempt() {
     let spec = LoginAppSpec::github();
     let app = build_login_app(&spec);
     let mut rt = world(&spec, TinmanConfig::default());
-    let cor = rt.node.store.ids()[0];
-    rt.node
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0]
         .policy
         .set_rule(cor, PolicyRule { bound_app_hash: Some(app.hash()), ..Default::default() });
 
@@ -165,7 +165,7 @@ fn anomaly_detection_flags_the_phishing_attempt() {
     let phish = build_phishing_app(spec.domain, spec.cor_description);
     let _ = rt.run_app(&phish, Mode::TinMan, &inputs()); // denied
 
-    let warnings = analyze(&rt.node.audit, &AnomalyConfig::default());
+    let warnings = analyze(&rt.nodes[0].audit, &AnomalyConfig::default());
     assert!(warnings.iter().any(|w| matches!(w, Warning::Denied { .. })), "{warnings:?}");
     assert!(warnings.iter().any(|w| matches!(w, Warning::NovelApp { .. })), "{warnings:?}");
 }
@@ -179,18 +179,18 @@ fn node_state_survives_a_restart() {
     let spec = LoginAppSpec::github();
     let app = build_login_app(&spec);
     let mut rt = world(&spec, TinmanConfig::default());
-    let cor = rt.node.store.ids()[0];
-    rt.node
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0]
         .policy
         .set_rule(cor, PolicyRule { bound_app_hash: Some(app.hash()), ..Default::default() });
     rt.run_app(&app, Mode::TinMan, &inputs()).expect("first login");
 
     // "Restart": serialize, rebuild, restore.
-    let store_json = rt.node.store.to_json().expect("store serializes");
-    let policy_snapshot = rt.node.policy.to_snapshot();
+    let store_json = rt.nodes[0].store.to_json().expect("store serializes");
+    let policy_snapshot = rt.nodes[0].policy.to_snapshot();
     let restored_store = CorStore::from_json(&store_json, 4242).expect("store restores");
     let mut rt2 = TinmanRuntime::new(restored_store, LinkProfile::wifi(), TinmanConfig::default());
-    rt2.node.policy = tinman::cor::PolicyEngine::from_snapshot(policy_snapshot);
+    rt2.nodes[0].policy = tinman::cor::PolicyEngine::from_snapshot(policy_snapshot);
     let tls = rt2.server_tls_config();
     install_auth_server(
         &mut rt2.world,

@@ -59,8 +59,8 @@ fn phishing_app_is_rejected_by_the_app_binding() {
     let mut rt = setup();
     let legit = build_login_app(&LoginAppSpec::paypal());
     // Bind the cor to the legitimate app's image hash.
-    let cor = rt.node.store.ids()[0];
-    rt.node
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0]
         .policy
         .set_rule(cor, PolicyRule { bound_app_hash: Some(legit.hash()), ..Default::default() });
 
@@ -76,8 +76,7 @@ fn phishing_app_is_rejected_by_the_app_binding() {
         "got {err:?}"
     );
     // The denial is on the audit log.
-    assert!(rt
-        .node
+    assert!(rt.nodes[0]
         .audit
         .abnormal()
         .iter()
@@ -99,7 +98,7 @@ fn exfiltration_to_unlisted_domain_is_denied() {
     }
     assert!(rt.scan_residue(PASSWORD).is_clean());
     // Audit captured the attempt with the target domain.
-    let abnormal = rt.node.audit.abnormal();
+    let abnormal = rt.nodes[0].audit.abnormal();
     assert!(!abnormal.is_empty());
     assert_eq!(abnormal[0].domain.as_deref(), Some("evil.com"));
 }
@@ -123,8 +122,8 @@ fn auth_endpoint_narrowing_blocks_in_domain_misuse() {
             page_bytes: 0,
         },
     );
-    let cor = rt.node.store.ids()[0];
-    rt.node.policy.set_rule(
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0].policy.set_rule(
         cor,
         PolicyRule {
             domain_whitelist: vec!["paypal.com".into()],
@@ -147,11 +146,11 @@ fn stolen_device_revocation_blocks_all_cor_access() {
     // Before revocation: works.
     assert_eq!(rt.run_app(&app, Mode::TinMan, &inputs()).unwrap().result, Value::Int(1));
     // The user reports the phone stolen.
-    rt.node.policy.revoke_device("phone-1");
+    rt.nodes[0].policy.revoke_device("phone-1");
     let err = rt.run_app(&app, Mode::TinMan, &inputs()).unwrap_err();
     assert!(matches!(err, RuntimeError::PolicyDenied(PolicyDecision::DeniedRevoked)));
     // Un-revoking restores access.
-    rt.node.policy.unrevoke_device("phone-1");
+    rt.nodes[0].policy.unrevoke_device("phone-1");
     assert_eq!(rt.run_app(&app, Mode::TinMan, &inputs()).unwrap().result, Value::Int(1));
 }
 
@@ -159,7 +158,7 @@ fn stolen_device_revocation_blocks_all_cor_access() {
 fn known_malware_is_refused_before_running() {
     let mut rt = setup();
     let app = build_login_app(&LoginAppSpec::paypal());
-    rt.node.policy.malware_db_mut().add(app.hash());
+    rt.nodes[0].policy.malware_db_mut().add(app.hash());
     let err = rt.run_app(&app, Mode::TinMan, &inputs()).unwrap_err();
     assert!(matches!(err, RuntimeError::MalwareRejected { .. }));
 }
@@ -168,8 +167,10 @@ fn known_malware_is_refused_before_running() {
 fn rate_limit_applies_across_logins() {
     let mut rt = setup();
     let app = build_login_app(&LoginAppSpec::paypal());
-    let cor = rt.node.store.ids()[0];
-    rt.node.policy.set_rule(cor, PolicyRule { max_uses_per_day: Some(2), ..Default::default() });
+    let cor = rt.nodes[0].store.ids()[0];
+    rt.nodes[0]
+        .policy
+        .set_rule(cor, PolicyRule { max_uses_per_day: Some(2), ..Default::default() });
     assert!(rt.run_app(&app, Mode::TinMan, &inputs()).is_ok());
     assert!(rt.run_app(&app, Mode::TinMan, &inputs()).is_ok());
     let err = rt.run_app(&app, Mode::TinMan, &inputs()).unwrap_err();
@@ -181,12 +182,12 @@ fn audit_log_records_allowed_accesses_too() {
     let mut rt = setup();
     let app = build_login_app(&LoginAppSpec::paypal());
     rt.run_app(&app, Mode::TinMan, &inputs()).unwrap();
-    let entries = rt.node.audit.entries();
+    let entries = rt.nodes[0].audit.entries();
     assert!(!entries.is_empty());
     assert!(entries.iter().all(|e| e.decision.is_allowed()));
     assert!(entries.iter().any(|e| e.domain.as_deref() == Some("paypal.com")));
     // JSONL export works and contains no plaintext.
-    let jsonl = rt.node.audit.export_jsonl();
+    let jsonl = rt.nodes[0].audit.export_jsonl();
     assert!(!jsonl.contains(PASSWORD));
 }
 
@@ -205,8 +206,8 @@ fn residue_scanner_is_demonstrably_sensitive() {
 #[test]
 fn placeholder_differs_from_cor_but_matches_length() {
     let rt = setup();
-    let cor = rt.node.store.ids()[0];
-    let ph = rt.node.store.placeholder(cor).unwrap();
+    let cor = rt.nodes[0].store.ids()[0];
+    let ph = rt.nodes[0].store.placeholder(cor).unwrap();
     assert_eq!(ph.len(), PASSWORD.len(), "§5.1: length is the one unprotected property");
     assert_ne!(ph, PASSWORD);
 }

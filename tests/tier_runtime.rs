@@ -68,7 +68,7 @@ fn block_tier_login_matches_the_interpreter_run_exactly() {
     let t = rt.tier_telemetry();
     assert_eq!(
         t.fast_insns + t.stepped_insns,
-        rt.client.machine.stats.instrs + rt.node.machine.stats.instrs,
+        rt.client.machine.stats.instrs + rt.nodes[0].machine.stats.instrs,
         "client and node segments must all run tiered: {t:?}"
     );
     assert!(t.fast_insns > t.stepped_insns, "most instructions retire in blocks: {t:?}");
