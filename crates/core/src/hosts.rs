@@ -15,7 +15,7 @@ use tinman_cor::{
     AccessRequest, AuditEntry, AuditLog, CorId, CorStore, PlaceholderDirectory, PolicyEngine,
 };
 use tinman_net::{HostId, NetWorld};
-use tinman_sim::{Breakdown, SimClock, SplitMix64};
+use tinman_sim::{Breakdown, SimClock, SimDuration, SplitMix64};
 use tinman_tls::{ContentType, Handshake, Record, TlsError, TlsSession};
 use tinman_vm::{NativeCtx, NativeHost, NativeOutcome, Value, VmError};
 
@@ -26,6 +26,15 @@ use crate::natives;
 const SHA256_CYCLES: u64 = 4_000;
 /// Cycle cost charged for sealing/opening a TLS record.
 const TLS_RECORD_CYCLES: u64 = 1_500;
+/// Fixed coordination cost of one SSL/TCP offload (arming the packet
+/// filter, netfilter queue handling, SSL-library synchronization in the
+/// prototype). Not derivable from first principles; calibrated to the
+/// paper's measured ~1.2 s (Wi-Fi) / ~1.6 s (3G) SSL/TCP overhead together
+/// with [`SSL_COORDINATION_RTTS`].
+const SSL_COORDINATION_FIXED: SimDuration = SimDuration::from_millis(680);
+/// Client<->node round trips in the SSL/TCP offload control protocol
+/// (state export ack, filter arming, progress sync).
+const SSL_COORDINATION_RTTS: u64 = 2;
 
 /// How the client resolves `ui.select_cor`.
 pub enum ClientMode {
@@ -321,11 +330,6 @@ pub struct NodeHost<'a> {
     /// The client's radio profile (the exported session state crosses that
     /// link).
     pub client_link: tinman_sim::LinkProfile,
-    /// Fixed coordination cost per cor send (see
-    /// `TinmanConfig::ssl_coordination_fixed`).
-    pub ssl_coordination_fixed: tinman_sim::SimDuration,
-    /// Control-protocol round trips per cor send.
-    pub ssl_coordination_rtts: u32,
     /// Trace emitter (no-op by default): the SSL/TCP offload path emits
     /// `ssl_injection` and `tcp_payload_replace` events.
     pub trace: tinman_obs::TraceHandle,
@@ -507,8 +511,8 @@ impl NodeHost<'_> {
             - rx_start;
         let download = self.client_link.serialize_time(rx_bytes);
         let flow = self.clock.now().since(t_start).saturating_sub(think).saturating_sub(download);
-        let coordination = self.ssl_coordination_fixed
-            + self.client_link.rtt * self.ssl_coordination_rtts as u64
+        let coordination = SSL_COORDINATION_FIXED
+            + self.client_link.rtt * SSL_COORDINATION_RTTS
             + self.client_link.transfer_time(state_bytes);
         self.clock.advance(coordination);
         self.breakdown.charge("ssl_tcp", flow + coordination);

@@ -18,7 +18,7 @@ use tinman_cor::{CorStore, PolicyDecision};
 use tinman_dsm::{DsmError, DsmStats, SyncBudget, SyncCause};
 use tinman_guard::{GuardPolicy, KillReason, ScrubReceipt};
 use tinman_net::{HostId, MarkFilter, NetWorld, Traffic};
-use tinman_obs::{MetricsRegistry, TraceEvent, TraceHandle};
+use tinman_obs::{TraceEvent, TraceHandle};
 use tinman_sim::{Breakdown, MicroJoules, RetryPolicy, SimClock, SimDuration, SimTime, SplitMix64};
 use tinman_taint::TaintEngine;
 use tinman_tls::{TlsConfig, TINMAN_MARK};
@@ -60,21 +60,10 @@ pub struct TinmanConfig {
     pub taint_idle_limit: u64,
     /// Per-segment instruction budget (runaway guard).
     pub fuel: u64,
-    /// Toy-PKI pre-shared secret for the TLS handshakes.
-    pub psk: [u8; 32],
     /// Seed for all runtime randomness (placeholders, nonces).
     pub seed: u64,
     /// Whether the device currently has connectivity (§5.4).
     pub online: bool,
-    /// Fixed coordination cost of one SSL/TCP offload (arming the packet
-    /// filter, netfilter queue handling, SSL-library synchronization in
-    /// the prototype). Not derivable from first principles; calibrated to
-    /// the paper's measured ~1.2 s (Wi-Fi) / ~1.6 s (3G) SSL/TCP overhead
-    /// together with `ssl_coordination_rtts`.
-    pub ssl_coordination_fixed: SimDuration,
-    /// Client<->node round trips in the SSL/TCP offload control protocol
-    /// (state export ack, filter arming, progress sync).
-    pub ssl_coordination_rtts: u32,
     /// §3.5's *selective tainting*: when set, only app images whose hash
     /// is listed run with the asymmetric taint engine; every other app
     /// runs untracked (zero overhead — and zero cor protection: a
@@ -98,8 +87,6 @@ pub struct TinmanConfig {
     /// before; with retries armed, exhaustion fails closed as a guest
     /// kill (`KillReason::Resync`) with the node heap scrubbed.
     pub resync_retries: u32,
-    /// First re-sync backoff; doubles each attempt.
-    pub resync_backoff: SimDuration,
 }
 
 impl Default for TinmanConfig {
@@ -107,19 +94,22 @@ impl Default for TinmanConfig {
         TinmanConfig {
             taint_idle_limit: 2_000,
             fuel: 50_000_000,
-            psk: [0x42; 32],
             seed: 12345,
             online: true,
-            ssl_coordination_fixed: SimDuration::from_millis(680),
-            ssl_coordination_rtts: 2,
             critical_apps: None,
             guard: None,
             topology: false,
             resync_retries: 0,
-            resync_backoff: SimDuration::from_millis(500),
         }
     }
 }
+
+/// Toy-PKI pre-shared secret for every TLS handshake the runtime makes.
+const PSK: [u8; 32] = [0x42; 32];
+
+/// First re-sync backoff after a DSM sync timeout; doubles each attempt
+/// (exponent clamped at 63, no cap).
+const RESYNC_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
 /// A DSM wire exchange between the client and the active node, named so
 /// the re-sync retry loop can replay it verbatim after a timeout.
@@ -147,16 +137,15 @@ struct BlockTier {
     compiled_cache: Option<([u8; 32], CompiledImage)>,
     /// Cumulative counters across every client and node segment.
     telemetry: TierTelemetry,
+    /// Image compilations (cache misses) so far.
+    compiles: u64,
 }
 
 impl BlockTier {
     /// Runs one segment of `image` (whose hash is `app_hash`) on
-    /// `machine`, compiling the image on a cache miss, and adds the
-    /// segment's counter deltas to the runtime-local `tier.*` metrics.
-    #[allow(clippy::too_many_arguments)]
+    /// `machine`, compiling the image on a cache miss.
     fn run_segment<H: NativeHost>(
         &mut self,
-        metrics: &MetricsRegistry,
         image: &AppImage,
         app_hash: [u8; 32],
         machine: &mut Machine,
@@ -167,26 +156,12 @@ impl BlockTier {
         if self.compiled_cache.as_ref().is_some_and(|(h, _)| *h != app_hash) {
             self.compiled_cache = None;
         }
+        let compiles = &mut self.compiles;
         let (_, compiled) = self.compiled_cache.get_or_insert_with(|| {
-            metrics.incr("tier.compiles");
+            *compiles += 1;
             (app_hash, CompiledImage::compile(image))
         });
-        let before = self.telemetry;
-        let r = tinman_vm::run_tiered(
-            machine,
-            image,
-            compiled,
-            host,
-            engine,
-            exec,
-            &mut self.telemetry,
-        );
-        let t = self.telemetry;
-        metrics.add("tier.block_runs", t.block_runs - before.block_runs);
-        metrics.add("tier.fast_insns", t.fast_insns - before.fast_insns);
-        metrics.add("tier.stepped_insns", t.stepped_insns - before.stepped_insns);
-        metrics.add("tier.deopts", t.deopts - before.deopts);
-        r
+        tinman_vm::run_tiered(machine, image, compiled, host, engine, exec, &mut self.telemetry)
     }
 }
 
@@ -300,7 +275,6 @@ pub struct TinmanRuntime {
     clock: SimClock,
     trace: TraceHandle,
     trace_track: u64,
-    metrics: MetricsRegistry,
     /// DSM sync-fault window installed by the chaos layer. Like tracing,
     /// it must be re-applied to the engines each run (engines are rebuilt
     /// per run).
@@ -350,7 +324,7 @@ impl TinmanRuntime {
             "phone-1",
             TaintEngine::asymmetric(),
             directory,
-            TlsConfig::tinman_client(config.psk),
+            TlsConfig::tinman_client(PSK),
             link,
         );
         let rng = SplitMix64::new(config.seed);
@@ -364,7 +338,6 @@ impl TinmanRuntime {
             clock,
             trace: TraceHandle::noop(),
             trace_track: 0,
-            metrics: MetricsRegistry::new(),
             dsm_fault: None,
             tier: BlockTier::default(),
             drain_at: None,
@@ -377,6 +350,11 @@ impl TinmanRuntime {
     /// segment run so far.
     pub fn tier_telemetry(&self) -> TierTelemetry {
         self.tier.telemetry
+    }
+
+    /// Block-tier image compilations (compiled-image cache misses) so far.
+    pub fn tier_compiles(&self) -> u64 {
+        self.tier.compiles
     }
 
     /// Wires the runtime (and its world) to a trace sink. Every event the
@@ -448,7 +426,6 @@ impl TinmanRuntime {
         node.scrub_guest();
         let residue: u64 = probes.iter().map(|p| node.machine.scan_residue(p).len() as u64).sum();
         let scrub = ScrubReceipt { node: active, at_ns, residue };
-        self.metrics.incr("fleet.region.drains");
         self.node_checkpoint = Some(NodeCheckpoint {
             node: active,
             taken_at_ns: at_ns,
@@ -458,21 +435,6 @@ impl TinmanRuntime {
         });
         self.drain_at = None;
         RuntimeError::NodeDraining { node: active, at_ns }
-    }
-
-    /// The runtime's metrics registry. [`RunReport::offloads`] is read
-    /// from the `runtime.offloads` counter here rather than from a
-    /// hand-threaded local.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Replaces the metrics registry. Each runtime reads per-run counter
-    /// *deltas* out of its registry, so give concurrent runtimes their own
-    /// registries (the default) — sharing one across threads would mix
-    /// their deltas.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
     }
 
     /// Adds another trusted node owning `store`'s label range (§5.3 —
@@ -532,7 +494,7 @@ impl TinmanRuntime {
 
     /// The server-side TLS config matching this runtime's PSK.
     pub fn server_tls_config(&self) -> TlsConfig {
-        TlsConfig::permissive(self.config.psk)
+        TlsConfig::permissive(PSK)
     }
 
     /// Scans the device for plaintext residue (§5.1's attacker).
@@ -549,16 +511,13 @@ impl TinmanRuntime {
 
     /// Kills the guest on node `active`: scrubs the node heap (no cor
     /// byte survives for a §5.1 dump to find), tears down its stack,
-    /// marks the machine faulted, bumps the `guard.*` counters, emits a
-    /// `guest_killed` event, and returns the fail-closed error the run
+    /// marks the machine faulted, emits a `guest_killed` event, and returns the fail-closed error the run
     /// surfaces. A kill is terminal for the session — after exhaustion
     /// nothing on the node can be trusted enough to migrate back.
     fn kill_guest(&mut self, active: usize, reason: KillReason) -> RuntimeError {
         let node = &mut self.nodes[active];
         node.scrub_guest();
         node.machine.status = tinman_vm::MachineStatus::Faulted;
-        self.metrics.incr("guard.kills");
-        self.metrics.incr(reason.budget().1);
         if self.trace.is_enabled() {
             self.trace.emit_on(
                 self.trace_track,
@@ -648,7 +607,7 @@ impl TinmanRuntime {
     ) -> Result<u64, RuntimeError> {
         let mut r = self.run_dsm_op(active, &op);
         if matches!(r, Err(DsmError::SyncTimeout { .. })) && self.config.resync_retries > 0 {
-            let policy = RetryPolicy::exponential(self.config.resync_backoff, 63, None);
+            let policy = RetryPolicy::exponential(RESYNC_BACKOFF, 63, None);
             for attempt in 0..self.config.resync_retries {
                 let t_wait = self.clock.now();
                 let mut until = t_wait + policy.delay(attempt as u64);
@@ -665,7 +624,6 @@ impl TinmanRuntime {
                 if let Ok(link) = self.world.host_link(self.client.host) {
                     self.client.link = link;
                 }
-                self.metrics.incr("net.handoff.resync_retries");
                 r = self.run_dsm_op(active, &op);
                 if !matches!(r, Err(DsmError::SyncTimeout { .. })) {
                     break;
@@ -678,9 +636,8 @@ impl TinmanRuntime {
         self.guard_dsm(active, r)
     }
 
-    /// Charges ambient power (display + idle + radio-active) for a period —
-    /// used by the battery benchmarks between and during workloads.
-    pub fn charge_ambient(&mut self, d: SimDuration, display_on: bool) {
+    /// Charges ambient power (display + idle) for a period.
+    fn charge_ambient(&mut self, d: SimDuration, display_on: bool) {
         let idle = MicroJoules::from_power(self.client.profile.idle_power_mw, d);
         self.client.energy.idle += idle;
         self.client.battery.drain(idle);
@@ -737,7 +694,6 @@ impl TinmanRuntime {
         let app_hash = image.hash();
         let t_run_start = self.clock.now();
         let traffic_start = self.world.traffic(self.client.host)?;
-        let topo_start = self.world.topology_stats();
         let mut breakdown = Breakdown::new();
 
         // Fresh machines; the client engine depends on the mode (and on
@@ -748,15 +704,15 @@ impl TinmanRuntime {
             Mode::TinMan => (
                 if selective_off { TaintEngine::none() } else { TaintEngine::asymmetric() },
                 ClientMode::TinMan,
-                TlsConfig::tinman_client(self.config.psk),
+                TlsConfig::tinman_client(PSK),
             ),
             Mode::Stock(secrets) => (
                 TaintEngine::none(),
                 ClientMode::Stock(secrets.clone()),
-                TlsConfig::permissive(self.config.psk),
+                TlsConfig::permissive(PSK),
             ),
             Mode::FullTaint => {
-                (TaintEngine::full(), ClientMode::TinMan, TlsConfig::tinman_client(self.config.psk))
+                (TaintEngine::full(), ClientMode::TinMan, TlsConfig::tinman_client(PSK))
             }
         };
         self.client.reset_for_run(client_engine);
@@ -789,9 +745,8 @@ impl TinmanRuntime {
 
         let mut last_tls_error: Option<tinman_tls::TlsError> = None;
         let mut last_denial: Option<PolicyDecision> = None;
-        // Offloads are counted in the metrics registry; the report reads
-        // the delta back at the end of the run.
-        let offloads_start = self.metrics.get("runtime.offloads");
+        // Times execution moved client -> node this run.
+        let mut offloads = 0u64;
         // Whether an "offload" span is currently open on our track.
         let mut offload_span_open = false;
         // Ping-pong detector: (func name, pc, client instrs at trigger,
@@ -846,7 +801,6 @@ impl TinmanRuntime {
                     last_tls_error: &mut last_tls_error,
                 };
                 self.tier.run_segment(
-                    &self.metrics,
                     image,
                     app_hash,
                     machine,
@@ -953,7 +907,7 @@ impl TinmanRuntime {
                     }
                     // Migrate client -> the active node.
                     let bytes = self.dsm_exchange(active, DsmOp::MigrateToNode, &mut breakdown)?;
-                    self.metrics.incr("runtime.offloads");
+                    offloads += 1;
                     // Carry execution counters over so stats stay cumulative
                     // per machine (each machine counts its own retire).
                     self.nodes[active].machine.status = tinman_vm::MachineStatus::Runnable;
@@ -1021,8 +975,6 @@ impl TinmanRuntime {
                         rng: &mut self.rng,
                         last_denial: &mut last_denial,
                         client_link,
-                        ssl_coordination_fixed: self.config.ssl_coordination_fixed,
-                        ssl_coordination_rtts: self.config.ssl_coordination_rtts,
                         trace: self.trace.clone(),
                         trace_track: self.trace_track,
                     };
@@ -1036,15 +988,7 @@ impl TinmanRuntime {
                             ExecConfig::trusted_node(self.config.taint_idle_limit, self.config.fuel)
                         }
                     };
-                    self.tier.run_segment(
-                        &self.metrics,
-                        image,
-                        app_hash,
-                        machine,
-                        &mut host,
-                        engine,
-                        exec,
-                    )
+                    self.tier.run_segment(image, app_hash, machine, &mut host, engine, exec)
                 };
                 let event = match event {
                     Ok(ev) => ev,
@@ -1165,11 +1109,6 @@ impl TinmanRuntime {
             dsm_stats.absorb(n.dsm.stats());
         }
         let node_methods: u64 = self.nodes.iter().map(|n| n.machine.stats.method_invocations).sum();
-        // The report reads the run's offload count back from the registry
-        // (this runtime is single-threaded, so the delta is exact).
-        let offloads = self.metrics.get("runtime.offloads") - offloads_start;
-        self.metrics.observe("runtime.latency_ns", latency.as_nanos());
-        self.metrics.add("runtime.dsm_syncs", dsm_stats.sync_count);
         let bursts = 2 + dsm_stats.sync_count + 2 * offloads;
         let tail = MicroJoules::from_power(
             self.client.link.active_radio_mw,
@@ -1177,30 +1116,6 @@ impl TinmanRuntime {
         );
         self.client.energy.radio_active += tail;
         self.client.battery.drain(tail);
-
-        // Topology-layer observability: only emitted once a routed world
-        // exists, so flat runs keep a byte-identical metrics registry.
-        let topo_end = self.world.topology_stats();
-        if self.world.topology_enabled() || topo_end != topo_start {
-            self.metrics
-                .add("net.topology.router_hops", topo_end.router_hops - topo_start.router_hops);
-            self.metrics
-                .add("net.topology.route_drops", topo_end.route_drops - topo_start.route_drops);
-            self.metrics.add(
-                "net.topology.firewall_drops",
-                topo_end.firewall_drops - topo_start.firewall_drops,
-            );
-            self.metrics
-                .add("net.topology.nat_rewrites", topo_end.nat_rewrites - topo_start.nat_rewrites);
-            self.metrics.add("net.topology.nat_drops", topo_end.nat_drops - topo_start.nat_drops);
-            self.metrics
-                .add("net.topology.dns_lookups", topo_end.dns_lookups - topo_start.dns_lookups);
-            self.metrics
-                .add("net.topology.dns_failures", topo_end.dns_failures - topo_start.dns_failures);
-            self.metrics.add("net.handoff.count", topo_end.handoffs - topo_start.handoffs);
-            self.metrics
-                .add("net.handoff.nat_rebinds", topo_end.nat_rebinds - topo_start.nat_rebinds);
-        }
 
         let traffic_end = self.world.traffic(self.client.host)?;
         Ok(RunReport {

@@ -22,10 +22,10 @@
 //!   every exit path.
 //! - Exporters: [`chrome_trace_json`] (loads in `chrome://tracing` /
 //!   Perfetto) and [`json_lines`].
-//! - [`MetricsRegistry`] — named counters and histograms that reports
-//!   read from instead of hand-threaded counters; sums commute and
-//!   histograms sort before summarizing, so registry-derived numbers are
-//!   deterministic under any worker interleaving.
+//! - [`MetricsRegistry`] — named counters and histograms, emitted only
+//!   by the fleet executor (`FleetObs::metrics` in `tinman-fleet`); sums
+//!   commute and histograms sort before summarizing, so registry-derived
+//!   numbers are deterministic under any worker interleaving.
 
 pub mod event;
 pub mod export;

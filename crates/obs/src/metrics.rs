@@ -1,9 +1,11 @@
 //! The counter/histogram registry.
 //!
-//! Reports (`FleetReport` / `RunReport`) read aggregate numbers from
-//! here instead of hand-threading counters through every layer. Counters are commutative sums and histograms are
-//! sorted before quantiles, so registry-derived numbers are independent
-//! of worker interleaving — safe to include in deterministic output.
+//! The fleet executor is the one emitter: it counts into the registry
+//! its caller hands it (`FleetObs::metrics` in `tinman-fleet`), and the
+//! per-session runtime keeps no registry of its own. Counters are
+//! commutative sums and histograms are sorted before quantiles, so
+//! registry-derived numbers are independent of worker interleaving — safe
+//! to include in deterministic output.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -2,8 +2,8 @@
 //! the fleet shapes that bring the rest of the executor into play, run
 //! at 1, 4 and 8 workers. Each row must
 //!
-//! - serialize byte-identical simulated reports at all three worker
-//!   counts,
+//! - serialize byte-identical simulated reports and metrics registries
+//!   at all three worker counts,
 //! - break no fail-closed invariant ([`FleetReport::violations`]), and
 //! - show that its fault actually fired.
 //!
@@ -33,21 +33,30 @@ impl Row {
             "" => ChaosPlan::empty(),
             name => ChaosPlan::canned(name).expect("canned plan"),
         };
-        let mut reference: Option<String> = None;
+        let mut reference: Option<(String, String)> = None;
         for workers in [1, 4, 8] {
             let mut cfg = FleetConfig::new(self.sessions, workers);
             (self.shape)(&mut cfg);
-            let report = run_fleet_chaos(&cfg, &plan, &FleetObs::default()).expect("fleet runs");
+            let obs = FleetObs::default();
+            let report = run_fleet_chaos(&cfg, &plan, &obs).expect("fleet runs");
             let violations: Vec<String> =
                 report.violations().iter().map(ToString::to_string).collect();
             assert!(violations.is_empty(), "{:?} at {workers} workers: {violations:?}", self.plan);
             let bytes = serde_json::to_string(&report.simulated_value()).unwrap();
+            let registry = serde_json::to_string(&obs.metrics.snapshot_value()).unwrap();
             match &reference {
                 None => {
                     (self.fired)(&report);
-                    reference = Some(bytes);
+                    reference = Some((bytes, registry));
                 }
-                Some(r) => assert_eq!(&bytes, r, "{:?} diverged at {workers} workers", self.plan),
+                Some((r, m)) => {
+                    assert_eq!(&bytes, r, "{:?} diverged at {workers} workers", self.plan);
+                    assert_eq!(
+                        &registry, m,
+                        "{:?} metrics diverged at {workers} workers",
+                        self.plan
+                    );
+                }
             }
         }
     }
@@ -209,6 +218,22 @@ matrix! {
             assert!(r.per_node[0].breaker_open > 0, "the crash trips node 0's breaker");
             assert!(r.torn_tail_repairs > 0, "the vault crashes fire");
             assert!(r.handoffs > 0, "the handoff storm fires");
+        },
+    };
+    // The `chaos_mix` benchmark workload's composition, with its four
+    // coverage checks.
+    chaos_mix: Row {
+        plan: "tenant-rotation+vault-crash+handoff",
+        sessions: 5,
+        shape: |c| {
+            c.tenants = 2;
+            c.topology = true;
+        },
+        fired: |r| {
+            assert!(r.torn_tail_repairs > 0, "the vault crashes fire");
+            assert!(r.tenant_key_rotations > 0, "the rotation plan fires");
+            assert!(r.handoffs > 0, "the handoff storm fires");
+            assert!(r.nat_rewrites > 0, "traffic traverses the NAT");
         },
     };
 }

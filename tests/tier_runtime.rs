@@ -72,7 +72,7 @@ fn block_tier_login_matches_the_interpreter_run_exactly() {
         "client and node segments must all run tiered: {t:?}"
     );
     assert!(t.fast_insns > t.stepped_insns, "most instructions retire in blocks: {t:?}");
-    assert_eq!(rt.metrics().get("tier.compiles"), 1, "one warm compile");
+    assert_eq!(rt.tier_compiles(), 1, "one warm compile");
 
     // Same security outcome: zero plaintext residue on the device.
     assert!(rt.scan_residue(PASSWORD).is_clean());
